@@ -138,15 +138,16 @@ class DTLP:
     def query_snapshot(self) -> "DTLP":
         """A light clone carrying only what KSP-DG queries need.
 
-        Query processing uses the skeleton, the partition/subgraphs and
-        the per-subgraph unit-weight structures (for attaching virtual
-        endpoints) — NOT the bounding-path lists or the EP-Index, which
-        exist for maintenance.  Dropping them shrinks the Spark
-        broadcast by orders of magnitude (the paper likewise ships only
-        the skeleton graph and subgraphs to QueryBolts).
+        Query processing uses only the skeleton and the partition/
+        subgraphs (virtual endpoints are attached by Dijkstra on current
+        weights) — NOT the bounding-path lists, the unit-weight
+        structures or the EP-Index, which exist for maintenance.
+        Dropping them shrinks the Spark broadcast by orders of magnitude
+        (the paper likewise ships only the skeleton graph and subgraphs
+        to QueryBolts).
         """
         light_indexes = [
-            SubgraphIndex(subgraph=idx.subgraph, xi=idx.xi, uw=idx.uw)
+            SubgraphIndex(subgraph=idx.subgraph, xi=idx.xi)
             for idx in self.sub_indexes
         ]
         return DTLP(

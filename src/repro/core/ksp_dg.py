@@ -24,8 +24,9 @@ fanned out per subgraph and/or whole queries fanned out per task.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from ..roadnet.graph import Subgraph
 from .dijkstra import astar, reverse_spt
 from .dtlp import DTLP
 from .merge import k_best_join
@@ -56,12 +57,13 @@ def reference_paths(skeleton, s: int, t: int):
     """Lazy i-th-shortest reference paths in the (augmented) skeleton.
 
     Yen's algorithm with A* spur searches guided by the reverse-SPT
-    distance-to-``t`` heuristic (consistent, hence results identical to
-    plain Yen) — the skeleton is dense (every boundary pair of a
-    subgraph is an edge), so goal-directed spur searches cut the
-    dominant per-iteration cost of the filter step.
+    distance-to-``t`` heuristic (computed on the reversed skeleton when
+    directed; consistent, hence results identical to plain Yen) — the
+    skeleton is dense (every boundary pair of a subgraph is an edge), so
+    goal-directed spur searches cut the dominant per-iteration cost of
+    the filter step.
     """
-    dist_to_t = reverse_spt(skeleton.neighbors, t)
+    dist_to_t = reverse_spt(skeleton.reversed().neighbors, t)
     inf = float("inf")
 
     def h(v: int) -> float:
@@ -88,36 +90,66 @@ class _RefineState:
 
 
 def partial_ksp(
-    dtlp: DTLP, u: int, v: int, k: int
+    dtlp: DTLP, u: int, v: int, k: int, ends: Tuple[int, int]
 ) -> List[Scored]:
-    """k shortest ``u -> v`` paths confined to single subgraphs.
+    """k shortest ``u -> v`` segments confined to single subgraphs.
 
-    Pools Yen's results from every subgraph whose vertex set contains
-    both endpoints (Algorithm 4, lines 3-8) and keeps the k best.  Since
+    Pools the segments of every subgraph whose vertex set contains both
+    endpoints (Algorithm 4, lines 3-8) and keeps the k best.  Since
     subgraphs never share edges, paths from different subgraphs are
-    always distinct.
+    always distinct.  ``ends`` are the query endpoints ``(s, t)``.
     """
     part = dtlp.partition
     sgs = set(part.home_subgraphs(u)) & set(part.home_subgraphs(v))
     pool: List[Scored] = []
-    directed = dtlp.graph.directed
     for sg_id in sorted(sgs):
-        sg = part.subgraphs[sg_id]
-        pool.extend(yen_ksp(sg.neighbors, u, v, k, directed=directed))
+        banned = segment_banned(part.boundary_of(sg_id), ends, u, v)
+        pool.extend(segment_ksp(part.subgraphs[sg_id], u, v, k, banned))
     pool.sort(key=lambda pd: pd[1])
     return pool[:k]
+
+
+def segment_banned(
+    boundary: Iterable[int], ends: Tuple[int, int], u: int, v: int
+) -> FrozenSet[int]:
+    """Vertices a ``u -> v`` segment may not pass through.
+
+    A refine segment runs between two consecutive boundary-vertex visits
+    of a simple ``s -> t`` path, so neither the subgraph's other boundary
+    vertices nor the query endpoints can lie inside it — the segment
+    definition the skeleton weights and virtual edges already assume.
+    Without the ban the k kept segments of a pair may all run through
+    ``s`` or ``t``, their joins are all non-simple, and the answer misses
+    paths (Theorem 3 then no longer holds).
+    """
+    return frozenset(boundary).union(ends) - {u, v}
+
+
+def segment_ksp(
+    sg: Subgraph, u: int, v: int, k: int, banned: FrozenSet[int]
+) -> List[Scored]:
+    """Yen's k shortest ``u -> v`` paths in ``sg`` avoiding ``banned``."""
+    base = sg.neighbors
+
+    def neighbors(x: int):
+        for y, w in base(x):
+            if y not in banned:
+                yield y, w
+
+    return yen_ksp(neighbors, u, v, k, directed=sg.graph.directed)
 
 
 def _candidate_ksp(
     dtlp: DTLP, ref_path: Path, k: int, state: _RefineState
 ) -> List[Scored]:
     """Algorithm 4: candidate KSPs matching one reference path."""
+    ends = (ref_path[0], ref_path[-1])
     segments: List[List[Scored]] = []
     for u, v in zip(ref_path, ref_path[1:]):
         key = (u, v)
         cached = state.partial.get(key)
         if cached is None:
-            cached = partial_ksp(dtlp, u, v, k)
+            cached = partial_ksp(dtlp, u, v, k, ends)
             state.partial[key] = cached
             state.tasks += 1
         else:
@@ -142,9 +174,7 @@ def ksp_dg(
     if s == t:
         return KSPResult(s, t, k, [([s], 0.0)], n_iterations=0)
 
-    aug = attach_query_vertices(
-        dtlp.skeleton, dtlp.partition, dtlp.sub_indexes, s, t, dtlp.xi
-    )
+    aug = attach_query_vertices(dtlp.skeleton, dtlp.partition, s, t)
     refs = reference_paths(aug, s, t)
     state = _RefineState()
     results: Dict[Tuple[int, ...], float] = {}  # L, dedup by route

@@ -9,16 +9,19 @@ handed to Spark via broadcast.
 
 Non-boundary query endpoints are attached per Section 5.3: a virtual
 vertex ``v`` gains an edge to every boundary vertex of its home
-subgraph, weighted with the on-the-fly LBD between them; two endpoints
-sharing a subgraph also gain a direct virtual edge (otherwise paths that
-never touch a boundary vertex would be unreachable in ``G_lambda``).
+subgraph, and two endpoints sharing a subgraph also gain a direct
+virtual edge (otherwise paths that never touch a boundary vertex would
+be unreachable in ``G_lambda``).  Unlike the paper, which weights these
+edges with an on-the-fly LBD, they carry the exact current in-subgraph
+segment distance: one Dijkstra per home subgraph, no path enumeration.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from ..roadnet.graph import Graph
-from .bounding import SubgraphIndex, bounding_paths, lower_bound_distance
+from ..roadnet.graph import Subgraph
+from .bounding import SubgraphIndex
+from .dijkstra import dijkstra
 from .partition import Partition
 
 
@@ -63,6 +66,17 @@ class SkeletonGraph:
         s._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
         return s
 
+    def reversed(self) -> "SkeletonGraph":
+        """The graph with every edge turned round (``self`` if undirected)."""
+        if not self.directed:
+            return self
+        r = SkeletonGraph(directed=True)
+        r._adj = {u: {} for u in self._adj}
+        for u, nbrs in self._adj.items():
+            for v, w in nbrs.items():
+                r._adj[v][u] = w
+        return r
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SkeletonGraph(|V|={self.n_vertices}, |E|={self.n_edges})"
 
@@ -87,85 +101,70 @@ def build_skeleton(
 
 
 def attach_query_vertices(
-    skeleton: SkeletonGraph,
-    partition: Partition,
-    sub_indexes: List[SubgraphIndex],
-    s: int,
-    t: int,
-    xi: int,
+    skeleton: SkeletonGraph, partition: Partition, s: int, t: int
 ) -> SkeletonGraph:
     """Section 5.3: return a copy of ``G_lambda`` with ``s``/``t`` attached.
 
     Boundary endpoints are already skeleton vertices and need no work.
-    The returned skeleton is a private copy — concurrent queries never
-    see each other's virtual vertices (each QueryBolt in the paper
-    augments its own replica likewise).
+    A non-boundary endpoint ``v`` gets, per home subgraph, one Dijkstra
+    on current weights (towards ``t`` on the reversed adjacency when
+    ``v = t`` and the graph is directed) that settles the subgraph's
+    boundary vertices and both endpoints but expands none of them.  Each
+    settled boundary vertex ``b`` gains the virtual edge (v, b) weighted
+    with that exact distance, and a settled ``t`` in ``s``'s search gives
+    the direct s-t edge (without it, paths that never touch a boundary
+    vertex would be unreachable in ``G_lambda``).
+
+    A virtual edge stands for the segment from a query endpoint to its
+    *first* boundary-vertex visit (or, for the direct edge, a segment
+    with no boundary visit): that segment lies inside the home subgraph
+    and has no boundary vertex or query endpoint in between, so its
+    exact minimum is a lower bound (Lemma 2) and at least as tight as
+    the Theorem 1 LBD of the paper.  The returned skeleton is a private
+    copy — concurrent queries never see each other's virtual vertices
+    (each QueryBolt in the paper augments its own replica likewise).
     """
     aug = skeleton.copy()
-    directed = skeleton.directed
-    virtual = [v for v in (s, t) if not partition.is_boundary(v)]
-    other = {s: t, t: s}
-    for v in virtual:
+    for v in (s, t):
+        if partition.is_boundary(v):
+            continue
         for sg_id in partition.home_subgraphs(v):
-            idx = sub_indexes[sg_id]
-            targets = [b for b in partition.boundary_of(sg_id) if b != v]
-            # Direct virtual edge when both endpoints live in the same
-            # subgraph and at least one is non-boundary (a boundary pair
-            # would already have a skeleton edge); without it, paths that
-            # never touch a boundary vertex would be missed.
-            ov = other[v]
-            if ov != v and ov in idx.subgraph.vertex_set and ov not in targets:
-                targets.append(ov)
-            banned = frozenset(partition.boundary_of(sg_id))
-            for b in targets:
-                _attach_pair(aug, idx, v, b, xi, directed, banned)
+            ends = partition.boundary_of(sg_id)
+            stops = frozenset(ends) | {s, t}
+            dist = _segment_distances(
+                partition.subgraphs[sg_id], v, stops, reverse=v != s
+            )
+            if v == s:
+                for b in ends + [t]:  # t: the direct s-t edge, if reached
+                    if b in dist:
+                        aug.set_edge(s, b, dist[b])
+            else:
+                for b in ends:
+                    if b in dist:
+                        aug.set_edge(b, t, dist[b])
     return aug
 
 
-def _attach_pair(
-    aug: SkeletonGraph,
-    idx: SubgraphIndex,
-    u: int,
-    v: int,
-    xi: int,
-    directed: bool,
-    banned: frozenset,
-) -> None:
-    """Add LBD-weighted edge(s) between ``u`` and ``v`` computed on the fly.
+def _segment_distances(
+    sg: Subgraph, v: int, stops: frozenset, *, reverse: bool
+) -> Dict[int, float]:
+    """Current-weight distances from ``v`` (to ``v`` if ``reverse``) in ``sg``
+    over paths with no vertex of ``stops`` in between: the search settles
+    stop vertices but never expands them."""
+    if reverse and sg.graph.directed:
+        g = sg.graph
+        radj: Dict[int, List[Tuple[int, float]]] = {}
+        for a, b in sg.edge_list:
+            radj.setdefault(b, []).append((a, g.weight(a, b)))
 
-    ``banned`` carries the subgraph's boundary vertices: the virtual edge
-    stands in for the segment between a query endpoint and its *first*
-    boundary-vertex visit (or, for a same-subgraph endpoint pair, a
-    segment with no boundary visit at all), so intermediate boundary
-    vertices are excluded exactly as in the index build.
-    """
-    lbd = _fly_lbd(idx, u, v, xi, directed, banned)
-    if lbd is not None:
-        if aug.has_edge(u, v):
-            lbd = min(lbd, aug.weight(u, v))
-        aug.set_edge(u, v, lbd)
-    if directed:
-        back = _fly_lbd(idx, v, u, xi, True, banned)
-        if back is not None:
-            if aug.has_edge(v, u):
-                back = min(back, aug.weight(v, u))
-            aug.set_edge(v, u, back)
+        def base(u: int):
+            return radj.get(u, ())
 
+    else:
+        base = sg.neighbors
 
-def _fly_lbd(
-    idx: SubgraphIndex,
-    u: int,
-    v: int,
-    xi: int,
-    directed: bool,
-    banned: frozenset = frozenset(),
-) -> Optional[float]:
-    h = None if directed else idx.init_dist_to(v)
-    if h is not None and u not in h:
-        return None  # v unreachable from u within this subgraph
-    bset = bounding_paths(
-        idx.subgraph, u, v, xi, directed=directed, h=h, banned=banned
-    )
-    if not bset.paths:
-        return None
-    return lower_bound_distance(bset, idx.uw)
+    def neighbors(u: int):
+        return () if u != v and u in stops else base(u)
+
+    dist, _ = dijkstra(neighbors, v)
+    return dist

@@ -29,10 +29,15 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from ..core.dtlp import DTLP
-from ..core.ksp_dg import KSPResult, ksp_dg, reference_paths
+from ..core.ksp_dg import (
+    KSPResult,
+    ksp_dg,
+    reference_paths,
+    segment_banned,
+    segment_ksp,
+)
 from ..core.merge import k_best_join
 from ..core.skeleton import attach_query_vertices
-from ..core.yen import yen_iter, yen_ksp
 from ..roadnet.graph import Graph, Subgraph
 from .spark_graph import (
     RESULTS_SCHEMA,
@@ -62,6 +67,7 @@ TASKS_SCHEMA = T.StructType(
         T.StructField("sg_id", T.IntegerType(), False),
         T.StructField("u", T.IntegerType(), False),
         T.StructField("v", T.IntegerType(), False),
+        T.StructField("banned", T.StringType(), False),
         T.StructField("k", T.IntegerType(), False),
     ]
 )
@@ -132,13 +138,14 @@ def process_batch_spark(
 def _partial_ksp_tasks_spark(
     spark: SparkSession,
     edges: DataFrame,
-    tasks: List[Tuple[int, int, int]],
+    tasks: List[Tuple[int, int, int, str]],
     k: int,
     directed: bool,
 ) -> Dict[Tuple[int, int], List[Tuple[List[int], float]]]:
-    """Run Yen for each (sg_id, u, v) task inside its subgraph's Spark group."""
+    """Run Yen for each (sg_id, u, v, banned) task inside its subgraph's
+    Spark group; ``banned`` is the encoded :func:`segment_banned` set."""
     ensure_group_parallelism(spark)
-    tasks_pdf = pd.DataFrame(tasks, columns=["sg_id", "u", "v"])
+    tasks_pdf = pd.DataFrame(tasks, columns=["sg_id", "u", "v", "banned"])
     tasks_pdf["k"] = k
     tdf = spark.createDataFrame(tasks_pdf, schema=TASKS_SCHEMA)
 
@@ -154,11 +161,15 @@ def _partial_ksp_tasks_spark(
             g.add_edge(int(u), int(v), int(w0), float(w))
         sg = Subgraph(g, int(edges_pdf["sg_id"].iloc[0]), list(g.edges()))
         rows = []
-        for u, v, kk in zip(tasks_pdf["u"], tasks_pdf["v"], tasks_pdf["k"]):
+        for u, v, kk, banned in zip(
+            tasks_pdf["u"], tasks_pdf["v"], tasks_pdf["k"], tasks_pdf["banned"]
+        ):
             if int(u) not in sg.vertex_set or int(v) not in sg.vertex_set:
                 continue
             for rank, (path, dist) in enumerate(
-                yen_ksp(sg.neighbors, int(u), int(v), int(kk), directed=directed)
+                segment_ksp(
+                    sg, int(u), int(v), int(kk), frozenset(decode_path(banned))
+                )
             ):
                 rows.append(
                     (sg.sg_id, int(u), int(v), rank, encode_path(path), dist)
@@ -204,9 +215,7 @@ def ksp_dg_spark_refine(
         return KSPResult(s, t, k, [([s], 0.0)], n_iterations=0)
     if edges is None:
         edges = edges_df(spark, dtlp.graph, dtlp.partition)
-    aug = attach_query_vertices(
-        dtlp.skeleton, dtlp.partition, dtlp.sub_indexes, s, t, dtlp.xi
-    )
+    aug = attach_query_vertices(dtlp.skeleton, dtlp.partition, s, t)
     refs = reference_paths(aug, s, t)
     part = dtlp.partition
     cache: Dict[Tuple[int, int], List[Tuple[List[int], float]]] = {}
@@ -228,7 +237,8 @@ def ksp_dg_spark_refine(
                 for sg_id in sorted(
                     set(part.home_subgraphs(u)) & set(part.home_subgraphs(v))
                 ):
-                    tasks.append((sg_id, u, v))
+                    banned = segment_banned(part.boundary_of(sg_id), (s, t), u, v)
+                    tasks.append((sg_id, u, v, encode_path(sorted(banned))))
             n_tasks += len(tasks)
             pooled = _partial_ksp_tasks_spark(
                 spark, edges, tasks, k, dtlp.graph.directed

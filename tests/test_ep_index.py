@@ -144,6 +144,7 @@ class TestQuerySnapshot:
         snap = dtlp.query_snapshot()
         assert snap.ep.n_entries == 0
         assert all(not idx.bounding for idx in snap.sub_indexes)
+        assert all(idx.uw is None for idx in snap.sub_indexes)
 
     def test_snapshot_answers_queries_identically(self, built):
         from repro.core import ksp_dg

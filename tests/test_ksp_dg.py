@@ -71,6 +71,47 @@ class TestExactnessRoadNetworks:
             _check_query(g, dtlp, s, t, k)
 
 
+class TestExactnessDirected:
+    """One-way edges: the reference-path heuristic must be computed on the
+    reversed skeleton, and t is attached by a search on reversed edges."""
+
+    @staticmethod
+    def _built(seed):
+        g = random_connected_graph(60, seed=seed, extra_edge_frac=0.8, directed=True)
+        apply_deltas(g, snapshot_deltas(g, alpha=0.5, tau=0.5, seed=seed + 1))
+        return g, DTLP.build(g, z=8, xi=4)
+
+    @pytest.mark.parametrize("seed", [25, 27, 29])
+    def test_directed_graph(self, seed):
+        g, dtlp = self._built(seed)
+        rnd = random.Random(seed)
+        for _ in range(4):
+            s, t = rnd.sample(range(60), 2)
+            _check_query(g, dtlp, s, t, 3)
+
+    def test_heuristic_uses_reversed_skeleton(self):
+        # both came back inexact with a forward-adjacency heuristic
+        g, dtlp = self._built(29)
+        _check_query(g, dtlp, 5, 31, 3)
+        _check_query(g, dtlp, 2, 6, 5)
+
+
+class TestRecordedDefects:
+    """Queries that came back inexact on the serving benchmark's graph when
+    partial KSPs could run through a query endpoint: every kept segment of
+    one boundary pair passed through s, so all their joins were non-simple."""
+
+    @pytest.mark.parametrize(
+        "seed, s, t", [(409, 153, 152), (804, 141, 160), (805, 349, 350)]
+    )
+    def test_benchmark_query(self, seed, s, t):
+        g = grid_road_network(20, 20, seed=7)
+        rng_seed = random.Random(seed).randrange(2**31)
+        apply_deltas(g, snapshot_deltas(g, alpha=0.35, tau=0.30, seed=rng_seed))
+        dtlp = DTLP.build(g, z=35, xi=12)
+        _check_query(g, dtlp, s, t, 2)
+
+
 class TestEndpointKinds:
     @pytest.fixture(scope="class")
     def built(self):

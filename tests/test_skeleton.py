@@ -1,7 +1,9 @@
 """Tests for the skeleton graph G_lambda (Section 3.6) and Theorem 2."""
+import networkx as nx
 import pytest
 
 from repro.core import DTLP, attach_query_vertices, shortest_path
+from repro.core.bounding import bounding_paths, lower_bound_distance
 from repro.roadnet import apply_deltas, random_connected_graph, snapshot_deltas
 
 from ._utils import nx_shortest_dist, to_nx
@@ -60,12 +62,24 @@ class TestTheorem2:
         G = to_nx(g)
         non_boundary = sorted(set(g.vertices) - dtlp.partition.boundary)
         s, t = non_boundary[0], non_boundary[-1]
-        aug = attach_query_vertices(
-            dtlp.skeleton, dtlp.partition, dtlp.sub_indexes, s, t, dtlp.xi
-        )
+        aug = attach_query_vertices(dtlp.skeleton, dtlp.partition, s, t)
         sk = shortest_path(aug.neighbors, s, t)
         assert sk is not None
         assert sk[1] <= nx_shortest_dist(G, s, t) + 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_holds_with_virtual_endpoints_directed(self, seed):
+        g = random_connected_graph(60, seed=seed, extra_edge_frac=0.9, directed=True)
+        apply_deltas(g, snapshot_deltas(g, alpha=0.5, tau=0.4, seed=seed + 20))
+        dtlp = DTLP.build(g, z=15, xi=5)
+        G = to_nx(g)
+        non_boundary = sorted(set(g.vertices) - dtlp.partition.boundary)
+        pairs = [(non_boundary[i], non_boundary[-(i + 1)]) for i in range(3)]
+        for s, t in pairs + [(t, s) for s, t in pairs]:
+            aug = attach_query_vertices(dtlp.skeleton, dtlp.partition, s, t)
+            sk = shortest_path(aug.neighbors, s, t)
+            assert sk is not None
+            assert sk[1] <= nx_shortest_dist(G, s, t) + 1e-9
 
 
 class TestAttachment:
@@ -73,9 +87,7 @@ class TestAttachment:
         g, dtlp = built
         boundary = sorted(dtlp.partition.boundary)
         s, t = boundary[0], boundary[-1]
-        aug = attach_query_vertices(
-            dtlp.skeleton, dtlp.partition, dtlp.sub_indexes, s, t, dtlp.xi
-        )
+        aug = attach_query_vertices(dtlp.skeleton, dtlp.partition, s, t)
         assert set(aug.vertices) == set(dtlp.skeleton.vertices)
         assert aug.n_edges == dtlp.skeleton.n_edges
 
@@ -88,7 +100,7 @@ class TestAttachment:
             for v in sorted(g.vertices)
             if part.is_boundary(v) and part.home_subgraphs(v) != part.home_subgraphs(s)
         )
-        aug = attach_query_vertices(dtlp.skeleton, part, dtlp.sub_indexes, s, t, dtlp.xi)
+        aug = attach_query_vertices(dtlp.skeleton, part, s, t)
         home = set(part.home_subgraphs(s))
         for b, _ in aug.neighbors(s):
             assert home & set(part.home_subgraphs(b))
@@ -98,12 +110,7 @@ class TestAttachment:
         before = dtlp.skeleton.n_edges
         non_boundary = sorted(set(g.vertices) - dtlp.partition.boundary)
         attach_query_vertices(
-            dtlp.skeleton,
-            dtlp.partition,
-            dtlp.sub_indexes,
-            non_boundary[0],
-            non_boundary[-1],
-            dtlp.xi,
+            dtlp.skeleton, dtlp.partition, non_boundary[0], non_boundary[-1]
         )
         assert dtlp.skeleton.n_edges == before
         assert non_boundary[0] not in set(dtlp.skeleton.vertices)
@@ -114,10 +121,41 @@ class TestAttachment:
         g = random_connected_graph(20, seed=3)
         dtlp = DTLP.build(g, z=100, xi=3)
         assert dtlp.skeleton.n_vertices == 0
-        aug = attach_query_vertices(
-            dtlp.skeleton, dtlp.partition, dtlp.sub_indexes, 0, 15, dtlp.xi
-        )
+        aug = attach_query_vertices(dtlp.skeleton, dtlp.partition, 0, 15)
         assert aug.has_edge(0, 15)
+
+    def test_virtual_edge_is_exact_segment_distance(self, built):
+        # (v, b) weighs the current shortest v-b distance inside v's home
+        # subgraph with the other boundary vertices and the other query
+        # endpoint removed, which is never below the Theorem 1 LBD the
+        # paper computes on the fly from bounding paths
+        g, dtlp = built
+        part = dtlp.partition
+        G = to_nx(g)
+        non_boundary = sorted(set(g.vertices) - part.boundary)
+        s, t = non_boundary[0], non_boundary[-1]
+        aug = attach_query_vertices(dtlp.skeleton, part, s, t)
+        checked = 0
+        for v, other in ((s, t), (t, s)):
+            (sg_id,) = part.home_subgraphs(v)
+            sg = part.subgraphs[sg_id]
+            boundary = part.boundary_of(sg_id)
+            idx = dtlp.sub_indexes[sg_id]
+            for b in boundary:
+                removed = (set(boundary) | {other}) - {v, b}
+                H = G.edge_subgraph(sg.edge_list).copy()
+                H.remove_nodes_from(removed)
+                if b not in H or not nx.has_path(H, v, b):
+                    assert not aug.has_edge(v, b)
+                    continue
+                assert aug.weight(v, b) == pytest.approx(nx_shortest_dist(H, v, b))
+                bset = bounding_paths(
+                    sg, v, b, dtlp.xi, banned=frozenset(boundary)
+                )
+                old = lower_bound_distance(bset, idx.uw)
+                assert aug.weight(v, b) >= old - 1e-9
+                checked += 1
+        assert checked > 0
 
 
 class TestSkeletonGraphContainer:

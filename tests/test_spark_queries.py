@@ -5,7 +5,12 @@ import pytest
 
 from repro.core import DTLP, ksp_dg
 from repro.distrib import edges_df, ksp_dg_spark_refine, process_batch_spark
-from repro.roadnet import apply_deltas, random_connected_graph, snapshot_deltas
+from repro.roadnet import (
+    apply_deltas,
+    grid_road_network,
+    random_connected_graph,
+    snapshot_deltas,
+)
 
 from ._utils import nx_ksp_dists, round_dists, to_nx
 
@@ -69,6 +74,18 @@ class TestSubgraphParallelRefine:
             got = ksp_dg_spark_refine(spark, dtlp, s, t, 2, edges=edges)
             exp = ksp_dg(dtlp, s, t, 2)
             assert round_dists(got.paths) == round_dists(exp.paths)
+
+    def test_segments_avoid_query_endpoints(self, spark):
+        # a benchmark query whose kept partial paths all ran through s
+        # before refine tasks banned the endpoints and other boundary
+        # vertices (the driver twin is in tests/test_ksp_dg.py)
+        g = grid_road_network(20, 20, seed=7)
+        delta_seed = random.Random(805).randrange(2**31)
+        apply_deltas(g, snapshot_deltas(g, alpha=0.35, tau=0.30, seed=delta_seed))
+        dtlp = DTLP.build(g, z=35, xi=12)
+        got = ksp_dg_spark_refine(spark, dtlp, 349, 350, 2)
+        exp = [round(d, 6) for d in nx_ksp_dists(to_nx(g), 349, 350, 2)]
+        assert round_dists(got.paths) == exp
 
     def test_trivial_query(self, spark, built):
         g, dtlp = built
