@@ -7,13 +7,7 @@ from .dtlp_build import (
     skeleton_df_from_lbd,
 )
 from .ksp_queries import ksp_dg_spark_refine, process_batch_spark
-from .maintenance import (
-    explode_path_edges,
-    refreshed_bd_df,
-    shifted_bounding_df,
-    update_dtlp_spark,
-    updated_edges_df,
-)
+from .maintenance import update_dtlp_spark, updated_edges_df
 from .spark_graph import (
     BOUNDING_SCHEMA,
     DELTAS_SCHEMA,
@@ -39,9 +33,6 @@ __all__ = [
     "skeleton_df_from_lbd",
     "ksp_dg_spark_refine",
     "process_batch_spark",
-    "explode_path_edges",
-    "refreshed_bd_df",
-    "shifted_bounding_df",
     "update_dtlp_spark",
     "updated_edges_df",
     "BOUNDING_SCHEMA",

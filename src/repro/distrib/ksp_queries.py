@@ -42,6 +42,7 @@ from ..roadnet.graph import Graph, Subgraph
 from .spark_graph import (
     RESULTS_SCHEMA,
     broadcast_dtlp,
+    cogroup_by_subgraph,
     decode_path,
     edges_df,
     encode_path,
@@ -116,7 +117,11 @@ def process_batch_spark(
 
     qdf = queries_df(spark, queries, k)
     parts = n_partitions or spark.sparkContext.defaultParallelism
-    out = qdf.repartition(parts).mapInPandas(fn, schema=RESULTS_SCHEMA).collect()
+    try:
+        out = qdf.repartition(parts).mapInPandas(fn, schema=RESULTS_SCHEMA).collect()
+    finally:
+        # unpersist() would leave the pickled snapshot in sc._temp_dir.
+        bc.destroy()
 
     results: Dict[int, KSPResult] = {}
     by_qid: Dict[int, List] = {}
@@ -144,7 +149,6 @@ def _partial_ksp_tasks_spark(
 ) -> Dict[Tuple[int, int], List[Tuple[List[int], float]]]:
     """Run Yen for each (sg_id, u, v, banned) task inside its subgraph's
     Spark group; ``banned`` is the encoded :func:`segment_banned` set."""
-    ensure_group_parallelism(spark)
     tasks_pdf = pd.DataFrame(tasks, columns=["sg_id", "u", "v", "banned"])
     tasks_pdf["k"] = k
     tdf = spark.createDataFrame(tasks_pdf, schema=TASKS_SCHEMA)
@@ -179,8 +183,7 @@ def _partial_ksp_tasks_spark(
         )
 
     out = (
-        edges.groupBy("sg_id")
-        .cogroup(tdf.groupBy("sg_id"))
+        cogroup_by_subgraph(edges, tdf)
         .applyInPandas(fn, schema=PARTIAL_SCHEMA)
         .collect()
     )

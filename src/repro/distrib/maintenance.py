@@ -1,136 +1,107 @@
 """Distributed DTLP maintenance (Algorithm 2 as Spark dataflow).
 
-A batch of weight deltas flows through the same three steps the driver
-reference (:meth:`repro.core.dtlp.DTLP.update`) performs, but expressed
-relationally so each is a Catalyst plan:
+A batch of weight deltas is applied the way the paper's workers apply
+it (Section 6.1): each change goes to the owner of its edge's subgraph,
+and the owner refreshes that subgraph's bounding paths in one pass.
 
-1. **EP-Index join** — bounding paths are exploded into (path, edge)
-   rows; joining with the delta batch on the canonical edge key and
-   re-aggregating per path shifts every covered path's distance by the
-   sum of its edges' deltas (Algorithm 2, line 3);
-2. **edge refresh** — the edges DataFrame gets its new weights via the
-   same canonical-key join;
-3. **bound-distance refresh** — a cogrouped ``applyInPandas`` over
-   (edges, paths) per subgraph rebuilds the unit-weight multiset and
-   recomputes every path's ``bd`` (line 4), after which the build
-   module's SQL derives LBD and the new skeleton (lines 5-8).
+1. **delta aggregation** — the batch is summed per edge key (the key
+   :meth:`repro.roadnet.graph.Graph.canonical` uses), so an edge listed
+   twice moves by the sum of its deltas;
+2. **edge refresh** — the aggregated deltas are broadcast-joined onto the
+   edges DataFrame, giving the new weights plus each edge's ``dw``;
+3. **per-subgraph refresh** — one cogrouped ``applyInPandas`` over
+   (edges, bounding paths) per subgraph shifts each path's ``dist`` by
+   the sum of ``dw`` over its edges (Algorithm 2, line 3) and recomputes
+   every path's ``bd`` from the new unit weights (line 4); a subgraph
+   the batch does not touch passes its rows through.  The build
+   module's SQL then derives LBD and the new skeleton (lines 5-8).
 
-Steps 1-2 are checked against the DuckDB oracle; the end-to-end result
-is checked for equality with the driver reference update.
+There is no EP-Index on this side: every path of a touched subgraph
+needs a new ``bd`` anyway, so one pass over the subgraph's paths does
+the work of the EP-Index lookup and the refresh together.  The driver
+:meth:`repro.core.dtlp.DTLP.update` keeps the O(affected) EP-Index.
+
+Step 2 is checked against the DuckDB oracle; the end-to-end result is
+checked for equality with the driver reference update.
 """
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
-from ..roadnet.graph import Graph, Subgraph
-from .dtlp_build import lbd_df_from_bounding, skeleton_df_from_lbd
-from .spark_graph import BOUNDING_SCHEMA, decode_path
-
-EP_SCHEMA = T.StructType(
-    [
-        T.StructField("sg_id", T.IntegerType(), False),
-        T.StructField("u", T.IntegerType(), False),
-        T.StructField("v", T.IntegerType(), False),
-        T.StructField("path", T.StringType(), False),
-        T.StructField("eu", T.IntegerType(), False),
-        T.StructField("ev", T.IntegerType(), False),
-    ]
-)
+from ..core.bounding import UnitWeightIndex
+from .dtlp_build import _local_subgraph, lbd_df_from_bounding, skeleton_df_from_lbd
+from .spark_graph import BOUNDING_SCHEMA, cogroup_by_subgraph, decode_path
 
 
-def explode_path_edges(bounding: DataFrame) -> DataFrame:
-    """The EP-Index as a DataFrame: one row per (bounding path, edge)."""
-
-    def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            rows = []
-            for sg_id, u, v, path in zip(
-                pdf["sg_id"], pdf["u"], pdf["v"], pdf["path"]
-            ):
-                verts = decode_path(path)
-                for a, b in zip(verts, verts[1:]):
-                    rows.append((int(sg_id), int(u), int(v), path, int(a), int(b)))
-            yield pd.DataFrame(
-                rows, columns=["sg_id", "u", "v", "path", "eu", "ev"]
-            )
-
-    return bounding.mapInPandas(fn, schema=EP_SCHEMA)
+def _edge_key(df: DataFrame, directed: bool) -> Tuple[Column, Column]:
+    """The ``(u, v)`` edge key of :meth:`Graph.canonical`, as columns."""
+    if directed:
+        return df.u, df.v
+    return F.least(df.u, df.v), F.greatest(df.u, df.v)
 
 
-def _with_canonical(df: DataFrame, a: str, b: str) -> DataFrame:
-    """Add canonical (lo, hi) edge-key columns for undirected joins."""
-    return df.withColumn("lo", F.least(F.col(a), F.col(b))).withColumn(
-        "hi", F.greatest(F.col(a), F.col(b))
+def _edges_with_dw(edges: DataFrame, deltas: DataFrame, directed: bool) -> DataFrame:
+    """Edges at their new weights, with the summed delta ``dw`` (0 if none).
+
+    Each step is one DataFrame call: on a local deployment, analysing a
+    call costs tens of milliseconds, a share of every snapshot.
+    """
+    ku, kv = _edge_key(deltas, directed)
+    per_edge = deltas.groupBy(ku.alias("ku"), kv.alias("kv")).agg(
+        F.sum("dw").alias("dw")
     )
+    eu, ev = _edge_key(edges, directed)
+    dw = F.coalesce(per_edge.dw, F.lit(0.0))
+    return edges.join(
+        F.broadcast(per_edge), (eu == per_edge.ku) & (ev == per_edge.kv), "left"
+    ).select("sg_id", "u", "v", (edges.w + dw).alias("w"), "w0", dw.alias("dw"))
 
 
-def shifted_bounding_df(bounding: DataFrame, deltas: DataFrame) -> DataFrame:
-    """Algorithm 2 line 3: dist += sum of deltas over the path's edges."""
-    ep = _with_canonical(explode_path_edges(bounding), "eu", "ev")
-    d = _with_canonical(deltas, "u", "v").select("lo", "hi", "dw")
-    per_path = (
-        ep.join(d, on=["lo", "hi"], how="inner")
-        .groupBy("sg_id", "u", "v", "path")
-        .agg(F.sum("dw").alias("ddist"))
-    )
-    return (
-        bounding.join(per_path, on=["sg_id", "u", "v", "path"], how="left")
-        .withColumn("dist", F.col("dist") + F.coalesce(F.col("ddist"), F.lit(0.0)))
-        .drop("ddist")
-    )
-
-
-def updated_edges_df(edges: DataFrame, deltas: DataFrame) -> DataFrame:
-    """Apply the delta batch to the edges DataFrame (canonical-key join)."""
-    e = _with_canonical(edges, "u", "v")
-    d = _with_canonical(deltas, "u", "v").select("lo", "hi", "dw")
-    return (
-        e.join(d, on=["lo", "hi"], how="left")
-        .withColumn("w", F.col("w") + F.coalesce(F.col("dw"), F.lit(0.0)))
-        .select("sg_id", "u", "v", "w", "w0")
-    )
-
-
-def refreshed_bd_df(edges_new: DataFrame, bounding_new: DataFrame) -> DataFrame:
-    """Recompute every path's bound distance from its subgraph's new weights."""
-
-    def fn(edges_pdf: pd.DataFrame, paths_pdf: pd.DataFrame) -> pd.DataFrame:
-        if paths_pdf.empty:
-            return paths_pdf
-        from ..core.bounding import UnitWeightIndex
-
-        g = Graph()
-        for u, v, w, w0 in zip(
-            edges_pdf["u"], edges_pdf["v"], edges_pdf["w"], edges_pdf["w0"]
-        ):
-            g.add_edge(int(u), int(v), int(w0), float(w))
-        uw = UnitWeightIndex(Subgraph(g, int(edges_pdf["sg_id"].iloc[0]), list(g.edges())))
-        out = paths_pdf.copy()
-        out["bd"] = [uw.bd_capped(int(phi)) for phi in out["phi"]]
-        return out
-
-    return (
-        edges_new.groupBy("sg_id")
-        .cogroup(bounding_new.groupBy("sg_id"))
-        .applyInPandas(fn, schema=BOUNDING_SCHEMA)
-    )
+def updated_edges_df(
+    edges: DataFrame, deltas: DataFrame, *, directed: bool = False
+) -> DataFrame:
+    """Apply the delta batch to the edges DataFrame (one row per edge)."""
+    return _edges_with_dw(edges, deltas, directed).drop("dw")
 
 
 def update_dtlp_spark(
-    edges: DataFrame, bounding: DataFrame, deltas: DataFrame
+    edges: DataFrame,
+    bounding: DataFrame,
+    deltas: DataFrame,
+    *,
+    directed: bool = False,
 ) -> Tuple[DataFrame, DataFrame, DataFrame]:
     """Full distributed Algorithm 2.
 
+    ``directed`` mirrors :attr:`Graph.directed` of the indexed graph.
     Returns ``(edges_new, bounding_new, skeleton_new)`` — the refreshed
     dataflow state; the driver swaps these in for the next snapshot.
     """
-    edges_new = updated_edges_df(edges, deltas)
-    shifted = shifted_bounding_df(bounding, deltas)
-    bounding_new = refreshed_bd_df(edges_new, shifted)
+    edges_dw = _edges_with_dw(edges, deltas, directed)
+
+    def refresh(edges_pdf: pd.DataFrame, paths_pdf: pd.DataFrame) -> pd.DataFrame:
+        if paths_pdf.empty or not edges_pdf["dw"].any():
+            return paths_pdf
+        sg = _local_subgraph(edges_pdf, directed)
+        dw_of = {
+            (int(u), int(v)): float(dw)
+            for u, v, dw in zip(edges_pdf["u"], edges_pdf["v"], edges_pdf["dw"])
+        }
+        shift = [
+            sum(dw_of[sg.graph.canonical(a, b)] for a, b in zip(p, p[1:]))
+            for p in map(decode_path, paths_pdf["path"])
+        ]
+        out = paths_pdf.copy()
+        out["dist"] = out["dist"] + shift
+        out["bd"] = UnitWeightIndex(sg).bd_many(out["phi"].to_numpy())
+        return out
+
+    bounding_new = cogroup_by_subgraph(edges_dw, bounding).applyInPandas(
+        refresh, schema=BOUNDING_SCHEMA
+    )
     skeleton_new = skeleton_df_from_lbd(lbd_df_from_bounding(bounding_new))
-    return edges_new, bounding_new, skeleton_new
+    return edges_dw.drop("dw"), bounding_new, skeleton_new

@@ -1,5 +1,8 @@
 """Distributed DTLP maintenance (Algorithm 2 on Spark) vs the driver
 reference, with DuckDB oracle checks on the relational steps."""
+import json
+
+import pandas as pd
 import pytest
 
 from repro.core import DTLP
@@ -9,8 +12,6 @@ from repro.distrib import (
     deltas_pdf,
     edges_df,
     edges_pdf,
-    explode_path_edges,
-    shifted_bounding_df,
     update_dtlp_spark,
     updated_edges_df,
 )
@@ -29,24 +30,29 @@ def state(spark):
 
 
 def _skeleton_edges(dtlp):
+    directed = dtlp.graph.directed
     return {
-        (min(a, b), max(a, b)): round(w, 9)
+        (a, b) if directed else (min(a, b), max(a, b)): round(w, 9)
         for a in dtlp.skeleton.vertices
         for b, w in dtlp.skeleton.neighbors(a)
     }
+
+
+def _skeleton_rows(skeleton_df, directed=False):
+    out = {}
+    for r in skeleton_df.collect():
+        a, b = r["u"], r["v"]
+        out[(a, b) if directed else (min(a, b), max(a, b))] = round(r["mbd"], 9)
+    return out
 
 
 class TestDistributedUpdate:
     def test_skeleton_matches_driver_update(self, state, spark):
         g, dtlp, bounding, deltas, edf, ddf = state
         _, _, skeleton_new = update_dtlp_spark(edf, bounding, ddf)
-        spark_edges = {
-            (min(r["u"], r["v"]), max(r["u"], r["v"])): round(r["mbd"], 9)
-            for r in skeleton_new.collect()
-        }
         ref = DTLP.build(g.copy(), z=15, xi=4)
         ref.update(deltas)
-        assert spark_edges == _skeleton_edges(ref)
+        assert _skeleton_rows(skeleton_new) == _skeleton_edges(ref)
 
     def test_updated_edges_oracle(self, state, spark):
         g, dtlp, bounding, deltas, edf, ddf = state
@@ -65,11 +71,17 @@ class TestDistributedUpdate:
 
     def test_shifted_dists_oracle(self, state, spark):
         g, dtlp, bounding, deltas, edf, ddf = state
-        shifted = shifted_bounding_df(bounding, ddf).select(
-            "sg_id", "u", "v", "path", "dist"
-        )
+        _, bounding_new, _ = update_dtlp_spark(edf, bounding, ddf)
+        before = bounding.toPandas()
+        rows = []
+        for r in before.itertuples():
+            verts = json.loads(r.path)
+            rows += [
+                (r.sg_id, r.u, r.v, r.path, a, b) for a, b in zip(verts, verts[1:])
+            ]
+        ep = pd.DataFrame(rows, columns=["sg_id", "u", "v", "path", "eu", "ev"])
         assert_equivalent(
-            shifted,
+            bounding_new.select("sg_id", "u", "v", "path", "dist"),
             """
             SELECT b.sg_id, b.u, b.v, b.path, b.dist + COALESCE(s.ddist, 0.0) AS dist
             FROM bounding b LEFT JOIN (
@@ -80,10 +92,49 @@ class TestDistributedUpdate:
                 GROUP BY ep.sg_id, ep.u, ep.v, ep.path
             ) s ON b.sg_id = s.sg_id AND b.u = s.u AND b.v = s.v AND b.path = s.path
             """,
-            bounding=bounding.toPandas(),
-            ep=explode_path_edges(bounding).toPandas(),
+            bounding=before,
+            ep=ep,
             deltas=deltas_pdf(deltas),
         )
+
+    def test_paths_match_driver_update(self, state, spark):
+        """Every path's Spark dist and bd equal the driver's after update."""
+        g, dtlp, bounding, deltas, edf, ddf = state
+        _, bounding_new, _ = update_dtlp_spark(edf, bounding, ddf)
+        ref = DTLP.build(g.copy(), z=15, xi=4)
+        ref.update(deltas)
+        want = {}
+        for idx in ref.sub_indexes:
+            for (a, b), bset in idx.bounding.items():
+                bds = idx.uw.bd_many([bp.phi for bp in bset.paths])
+                for bp, bd in zip(bset.paths, bds):
+                    want[(idx.subgraph.sg_id, a, b, bp.path)] = (bp.dist, bd)
+        got = {
+            (r["sg_id"], r["u"], r["v"], tuple(json.loads(r["path"]))): (
+                r["dist"],
+                r["bd"],
+            )
+            for r in bounding_new.collect()
+        }
+        assert got.keys() == want.keys()
+        for key, (dist, bd) in got.items():
+            assert dist == pytest.approx(want[key][0], abs=1e-9), key
+            assert bd == pytest.approx(want[key][1], abs=1e-9), key
+
+    def test_repeated_edge_in_batch_sums(self, state, spark):
+        """A batch listing one edge twice moves it by the sum of both."""
+        g, dtlp, bounding, _, edf, _ = state
+        e = sorted(g.edges())[0]
+        batch = [(e, 1.0), (e, 2.0)]
+        edges_new, _, skeleton_new = update_dtlp_spark(
+            edf, bounding, deltas_df(spark, batch)
+        )
+        rows = edges_new.filter(f"u = {e[0]} AND v = {e[1]}").collect()
+        assert [r["w"] for r in rows] == [pytest.approx(g.weight(*e) + 3.0)]
+        assert edges_new.count() == g.n_edges
+        ref = DTLP.build(g.copy(), z=15, xi=4)
+        ref.update(batch)
+        assert _skeleton_rows(skeleton_new) == _skeleton_edges(ref)
 
     def test_multi_batch_convergence(self, state, spark):
         """Two consecutive distributed updates == rebuild on final weights."""
@@ -98,24 +149,23 @@ class TestDistributedUpdate:
             e_cur, b_cur, skeleton = update_dtlp_spark(
                 e_cur, b_cur, deltas_df(spark, d)
             )
-        got = {
-            (min(r["u"], r["v"]), max(r["u"], r["v"])): round(r["mbd"], 9)
-            for r in skeleton.collect()
-        }
         rebuilt = DTLP.build(g2, z=15, xi=4)
-        assert got == _skeleton_edges(rebuilt)
+        assert _skeleton_rows(skeleton) == _skeleton_edges(rebuilt)
 
 
-class TestEPExplode:
-    def test_ep_rows_count(self, state, spark):
-        g, dtlp, bounding, _, _, _ = state
-        n = explode_path_edges(bounding).count()
-        assert n == dtlp.ep.n_entries
-
-    def test_ep_rows_are_path_edges(self, state, spark):
-        _, _, bounding, _, _, _ = state
-        import json
-
-        for r in explode_path_edges(bounding).limit(200).collect():
-            verts = json.loads(r["path"])
-            assert (r["eu"], r["ev"]) in set(zip(verts, verts[1:]))
+class TestDirectedUpdate:
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_skeleton_matches_driver_update(self, spark, mirror):
+        g = random_connected_graph(60, seed=31, extra_edge_frac=0.8, directed=True)
+        dtlp, bounding = build_dtlp_spark(spark, g, z=15, xi=4)
+        deltas = snapshot_deltas(
+            g, alpha=0.5, tau=0.4, seed=32, mirror_directed=mirror
+        )
+        _, _, skeleton_new = update_dtlp_spark(
+            edges_df(spark, g, dtlp.partition),
+            bounding,
+            deltas_df(spark, deltas),
+            directed=True,
+        )
+        dtlp.update(deltas)
+        assert _skeleton_rows(skeleton_new, True) == _skeleton_edges(dtlp)

@@ -1,4 +1,5 @@
 """Distributed KSP query processing vs driver reference and networkx."""
+import os
 import random
 
 import pytest
@@ -52,6 +53,16 @@ class TestQueryParallel:
         results = process_batch_spark(spark, dtlp, queries[:2], k=2)
         for qid, (s, t) in enumerate(queries[:2]):
             assert results[qid].n_iterations == ksp_dg(dtlp, s, t, 2).n_iterations
+
+    def test_releases_snapshot_broadcast(self, spark, built, queries):
+        """Each request's broadcast file is deleted once it has answered."""
+        g, dtlp = built
+        temp_dir = spark.sparkContext._temp_dir
+        process_batch_spark(spark, dtlp, queries[:1], k=1)
+        before = len(os.listdir(temp_dir))
+        for _ in range(3):
+            process_batch_spark(spark, dtlp, queries[:1], k=1)
+        assert len(os.listdir(temp_dir)) <= before
 
     def test_after_maintenance(self, spark, built, queries):
         g, dtlp = built
