@@ -64,6 +64,9 @@ class DTLP:
         self.skeleton = skeleton
         self.pair_lbd = pair_lbd
         self.xi = xi
+        #: bumped by every :meth:`update`, so a cached query snapshot (a
+        #: Spark broadcast) can tell that it is stale
+        self.version = 0
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -98,6 +101,7 @@ class DTLP:
         ``G_curr`` buffer in Section 2).
         """
         t0 = time.perf_counter()
+        self.version += 1
         touched = 0
         affected_sgs: Set[int] = set()
         for (u, v), dw in deltas:

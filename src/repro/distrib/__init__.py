@@ -12,9 +12,6 @@ from .spark_graph import (
     BOUNDING_SCHEMA,
     DELTAS_SCHEMA,
     EDGES_SCHEMA,
-    QUERIES_SCHEMA,
-    RESULTS_SCHEMA,
-    broadcast_dtlp,
     decode_path,
     deltas_df,
     deltas_pdf,
@@ -22,7 +19,6 @@ from .spark_graph import (
     edges_pdf,
     encode_path,
     ensure_group_parallelism,
-    queries_df,
 )
 
 __all__ = [
@@ -38,9 +34,6 @@ __all__ = [
     "BOUNDING_SCHEMA",
     "DELTAS_SCHEMA",
     "EDGES_SCHEMA",
-    "QUERIES_SCHEMA",
-    "RESULTS_SCHEMA",
-    "broadcast_dtlp",
     "decode_path",
     "deltas_df",
     "deltas_pdf",
@@ -48,5 +41,4 @@ __all__ = [
     "edges_pdf",
     "encode_path",
     "ensure_group_parallelism",
-    "queries_df",
 ]

@@ -4,11 +4,14 @@ Two parallelism axes, matching Section 6.1:
 
 * **Query-parallel** (:func:`process_batch_spark`) — the paper's primary
   scalability axis (Figures 32, 35-38): each QueryBolt owns whole
-  queries.  The query batch is a DataFrame fanned out with
-  ``mapInPandas``; every task runs the full KSP-DG loop against the
-  *broadcast* DTLP snapshot (the paper replicates the skeleton graph and
-  assigns subgraphs to workers; a single broadcast of the index is the
-  local[*] equivalent).
+  queries.  A request is one RDD job: the ``(qid, s, t)`` tuples are
+  ``parallelize``d into at most one task per query and every task runs
+  the full KSP-DG loop against a *versioned broadcast* of the DTLP
+  query snapshot, handing the :class:`KSPResult` objects back as they
+  are (no shuffle, no DataFrame).  Like the paper's long-lived
+  QueryBolts holding a replicated skeleton graph, the broadcast is
+  kept across requests and replaced (the old one destroyed) only when
+  the DTLP or its graph reports a new version.
 * **Subgraph-parallel refine** (:func:`ksp_dg_spark_refine`) — the
   intra-query axis: per iteration, the (subgraph, boundary-pair) tasks
   of the current reference path are cogrouped with the edges DataFrame
@@ -21,11 +24,13 @@ Both produce results identical to the driver reference
 """
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import pandas as pd
+from pyspark import Broadcast, SparkContext
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from ..core.dtlp import DTLP
@@ -39,16 +44,7 @@ from ..core.ksp_dg import (
 from ..core.merge import k_best_join
 from ..core.skeleton import attach_query_vertices
 from ..roadnet.graph import Graph, Subgraph
-from .spark_graph import (
-    RESULTS_SCHEMA,
-    broadcast_dtlp,
-    cogroup_by_subgraph,
-    decode_path,
-    edges_df,
-    encode_path,
-    ensure_group_parallelism,
-    queries_df,
-)
+from .spark_graph import cogroup_by_subgraph, decode_path, edges_df, encode_path
 
 _EPS = 1e-9
 
@@ -75,6 +71,61 @@ TASKS_SCHEMA = T.StructType(
 
 
 # -- query-parallel mode ----------------------------------------------------
+class _Replica:
+    """One broadcast query snapshot and the index state it was taken from.
+
+    ``users`` counts the requests running on it, so that a replaced
+    replica is destroyed only once the last of them has returned.
+    """
+
+    def __init__(self, sc: SparkContext, dtlp: DTLP) -> None:
+        self.sc = sc
+        self.dtlp = weakref.ref(dtlp)
+        self.version = (dtlp.version, dtlp.graph.version)
+        self.bc: Broadcast = sc.broadcast(dtlp.query_snapshot())
+        self.users = 0
+
+    def serves(self, sc: SparkContext, dtlp: DTLP) -> bool:
+        return (
+            self.sc is sc
+            and self.dtlp() is dtlp
+            and self.version == (dtlp.version, dtlp.graph.version)
+        )
+
+
+#: The replica serving requests; swapped only under ``_replica_lock``.
+_replica: Optional[_Replica] = None
+_replica_lock = threading.Lock()
+
+
+def _destroy_if_unused(replica: _Replica) -> None:
+    """Destroy a replaced, idle replica's broadcast; hold the lock."""
+    # A stopped context's broadcasts are gone, and a new context reuses
+    # their ids: destroying one would drop the new context's broadcast.
+    if replica is not _replica and replica.users == 0 and replica.sc._jsc:
+        # unpersist() would leave the pickled snapshot in sc._temp_dir.
+        replica.bc.destroy()
+
+
+def _acquire_replica(sc: SparkContext, dtlp: DTLP) -> _Replica:
+    """The replica of ``dtlp``'s current query snapshot, broadcast anew
+    only when the DTLP, its version or its graph's version has changed."""
+    global _replica
+    with _replica_lock:
+        if _replica is None or not _replica.serves(sc, dtlp):
+            old, _replica = _replica, _Replica(sc, dtlp)
+            if old is not None:
+                _destroy_if_unused(old)
+        _replica.users += 1
+        return _replica
+
+
+def _release_replica(replica: _Replica) -> None:
+    with _replica_lock:
+        replica.users -= 1
+        _destroy_if_unused(replica)
+
+
 def process_batch_spark(
     spark: SparkSession,
     dtlp: DTLP,
@@ -84,7 +135,15 @@ def process_batch_spark(
     n_partitions: Optional[int] = None,
     max_iterations: Optional[int] = None,
 ) -> Dict[int, KSPResult]:
-    """Process a query batch with one KSP-DG run per Spark task.
+    """Process a query batch with one KSP-DG run per query, in one Spark job.
+
+    The queries are fanned out over ``min(n_partitions, len(queries))``
+    tasks (``n_partitions`` defaults to the default parallelism) that
+    run :func:`ksp_dg` against a broadcast query snapshot; results are
+    keyed by the query's position in ``queries``.  The snapshot is
+    broadcast again only after ``dtlp.update`` or a weight change on
+    ``dtlp.graph``, like the paper's long-lived QueryBolts that are sent
+    new state only when the index changes.
 
     ``max_iterations`` optionally bounds the filter-refine loop per
     query (anytime mode: the best-k found so far are returned).  In
@@ -94,49 +153,27 @@ def process_batch_spark(
     formally a capped run forfeits the Theorem 3 guarantee; tests always
     run uncapped.
     """
-    ensure_group_parallelism(spark)
-    bc = broadcast_dtlp(spark, dtlp.query_snapshot())
+    if not queries:
+        return {}
+    sc = spark.sparkContext
+    replica = _acquire_replica(sc, dtlp)
+    bc = replica.bc  # the task closes over this alone: a replica holds ``sc``
 
-    def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def fn(rows: Iterator[Tuple[int, int, int]]) -> Iterator[Tuple[int, KSPResult]]:
         local: DTLP = bc.value
-        for pdf in batches:
-            rows = []
-            for qid, s, t, kk in zip(pdf["qid"], pdf["s"], pdf["t"], pdf["k"]):
-                res = ksp_dg(
-                    local, int(s), int(t), int(kk), max_iterations=max_iterations
-                )
-                for rank, (path, dist) in enumerate(res.paths):
-                    rows.append(
-                        (int(qid), rank, encode_path(path), dist, res.n_iterations)
-                    )
-                if not res.paths:
-                    rows.append((int(qid), -1, "[]", float("inf"), res.n_iterations))
-            yield pd.DataFrame(
-                rows, columns=["qid", "rank", "path", "dist", "n_iterations"]
-            )
+        for qid, s, t in rows:
+            yield qid, ksp_dg(local, s, t, k, max_iterations=max_iterations)
 
-    qdf = queries_df(spark, queries, k)
-    parts = n_partitions or spark.sparkContext.defaultParallelism
+    parts = min(n_partitions or sc.defaultParallelism, len(queries))
     try:
-        out = qdf.repartition(parts).mapInPandas(fn, schema=RESULTS_SCHEMA).collect()
+        out = (
+            sc.parallelize([(qid, s, t) for qid, (s, t) in enumerate(queries)], parts)
+            .mapPartitions(fn)
+            .collect()
+        )
     finally:
-        # unpersist() would leave the pickled snapshot in sc._temp_dir.
-        bc.destroy()
-
-    results: Dict[int, KSPResult] = {}
-    by_qid: Dict[int, List] = {}
-    for r in out:
-        by_qid.setdefault(int(r["qid"]), []).append(r)
-    for qid, (s, t) in enumerate(queries):
-        rows = sorted(by_qid.get(qid, []), key=lambda r: int(r["rank"]))
-        paths = [
-            (decode_path(r["path"]), float(r["dist"]))
-            for r in rows
-            if int(r["rank"]) >= 0
-        ]
-        n_iter = int(rows[0]["n_iterations"]) if rows else 0
-        results[qid] = KSPResult(s, t, k, paths, n_iterations=n_iter)
-    return results
+        _release_replica(replica)
+    return dict(out)
 
 
 # -- subgraph-parallel refine mode ------------------------------------------

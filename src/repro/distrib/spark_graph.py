@@ -7,9 +7,9 @@ replicated skeleton graph, and query/update tuples.  Here:
 * subgraphs are rows of an **edges DataFrame** keyed by ``sg_id`` —
   ``groupBy("sg_id").applyInPandas`` is the SubgraphBolt;
 * the skeleton graph plus everything a QueryBolt needs is a Spark
-  **broadcast** of the picklable DTLP object (replication, as in the
-  paper);
-* queries and weight deltas are plain DataFrames.
+  **broadcast** of the DTLP query snapshot (replication, as in the
+  paper; kept and versioned by ``ksp_queries``);
+* weight deltas are plain DataFrames; queries are plain RDD tuples.
 
 All schemas are explicit so Catalyst plans don't depend on inference.
 """
@@ -22,7 +22,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
-from ..core.dtlp import DTLP
 from ..core.partition import Partition
 from ..roadnet.graph import Edge, Graph
 
@@ -44,15 +43,6 @@ DELTAS_SCHEMA = T.StructType(
     ]
 )
 
-QUERIES_SCHEMA = T.StructType(
-    [
-        T.StructField("qid", T.IntegerType(), False),
-        T.StructField("s", T.IntegerType(), False),
-        T.StructField("t", T.IntegerType(), False),
-        T.StructField("k", T.IntegerType(), False),
-    ]
-)
-
 BOUNDING_SCHEMA = T.StructType(
     [
         T.StructField("sg_id", T.IntegerType(), False),
@@ -63,16 +53,6 @@ BOUNDING_SCHEMA = T.StructType(
         T.StructField("dist", T.DoubleType(), False),
         T.StructField("bd", T.DoubleType(), False),
         T.StructField("complete", T.BooleanType(), False),
-    ]
-)
-
-RESULTS_SCHEMA = T.StructType(
-    [
-        T.StructField("qid", T.IntegerType(), False),
-        T.StructField("rank", T.IntegerType(), False),
-        T.StructField("path", T.StringType(), False),
-        T.StructField("dist", T.DoubleType(), False),
-        T.StructField("n_iterations", T.IntegerType(), False),
     ]
 )
 
@@ -104,16 +84,6 @@ def deltas_pdf(deltas: Sequence[Tuple[Edge, float]]) -> pd.DataFrame:
 
 def deltas_df(spark: SparkSession, deltas: Sequence[Tuple[Edge, float]]) -> DataFrame:
     return spark.createDataFrame(deltas_pdf(deltas), schema=DELTAS_SCHEMA)
-
-
-def queries_df(
-    spark: SparkSession, queries: Sequence[Tuple[int, int]], k: int
-) -> DataFrame:
-    pdf = pd.DataFrame(
-        [(i, s, t, k) for i, (s, t) in enumerate(queries)],
-        columns=["qid", "s", "t", "k"],
-    )
-    return spark.createDataFrame(pdf, schema=QUERIES_SCHEMA)
 
 
 def encode_path(path: Iterable[int]) -> str:
@@ -153,8 +123,3 @@ def cogroup_by_subgraph(left: DataFrame, right: DataFrame):
         .cogroup(right.repartition(n, "sg_id").groupBy("sg_id"))
     )
 
-
-def broadcast_dtlp(spark: SparkSession, dtlp: DTLP):
-    """Replicate the DTLP snapshot to every worker (Section 5.2: the
-    skeleton graph "lends itself well to be replicated to any node")."""
-    return spark.sparkContext.broadcast(dtlp)

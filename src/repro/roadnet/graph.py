@@ -34,6 +34,9 @@ class Graph:
         self.directed = directed
         self._adj: Dict[int, Dict[int, float]] = {}
         self._w0: Dict[Edge, int] = {}
+        #: bumped by every weight or edge change, so a cached copy of the
+        #: graph (a Spark broadcast) can tell that it is stale
+        self.version = 0
 
     # -- topology ----------------------------------------------------------
     def canonical(self, u: int, v: int) -> Edge:
@@ -64,6 +67,7 @@ class Graph:
         else:
             self._adj.setdefault(v, {})
         self._w0[self.canonical(u, v)] = int(w0)
+        self.version += 1
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, {})
@@ -84,6 +88,7 @@ class Graph:
         self._adj[u][v] = float(w)
         if not self.directed:
             self._adj[v][u] = float(w)
+        self.version += 1
 
     def unit_weight(self, u: int, v: int) -> float:
         """Weight of one vfrag of ``(u, v)``: ``w / w0`` (Section 3.4)."""

@@ -93,6 +93,12 @@ class TestAlgorithm2:
         assert stats.n_paths_touched == 0
         assert _skeleton_edges(dtlp) == before
 
+    def test_update_bumps_version(self, built):
+        g, dtlp = built
+        v = dtlp.version
+        dtlp.update(snapshot_deltas(g, alpha=0.3, tau=0.4, seed=12))
+        assert dtlp.version == v + 1
+
     def test_update_stats_counters(self, built):
         g, dtlp = built
         deltas = snapshot_deltas(g, alpha=0.3, tau=0.4, seed=11)

@@ -43,6 +43,15 @@ class TestGraphBasics:
     def test_degree(self, tri):
         assert tri.degree(0) == 2
 
+    def test_version_counts_changes(self, tri):
+        v = tri.version
+        tri.weight(0, 1)
+        assert tri.version == v
+        tri.set_weight(0, 1, 5.0)
+        assert tri.version == v + 1
+        tri.add_edge(0, 5, 2)
+        assert tri.version == v + 2
+
     def test_has_edge(self, tri):
         assert tri.has_edge(0, 1) and tri.has_edge(1, 0)
         assert not tri.has_edge(0, 99)
