@@ -10,7 +10,7 @@ from .bounding import (
 from .dijkstra import astar, dijkstra, reverse_spt, shortest_path
 from .dtlp import DEFAULT_XI, DTLP, UpdateStats
 from .ep_index import EPIndex
-from .ksp_dg import KSPResult, ksp_dg, ksp_dg_batch, partial_ksp
+from .ksp_dg import KSPResult, ksp_dg, partial_ksp
 from .merge import concat_segments, is_simple, k_best_join
 from .partition import Partition, bfs_partition
 from .skeleton import SkeletonGraph, attach_query_vertices, build_skeleton
@@ -33,7 +33,6 @@ __all__ = [
     "EPIndex",
     "KSPResult",
     "ksp_dg",
-    "ksp_dg_batch",
     "partial_ksp",
     "concat_segments",
     "is_simple",

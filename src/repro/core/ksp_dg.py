@@ -17,14 +17,17 @@ their boundary sequence (Lemma 2), so no unexplored sequence can beat
 ``L``.  Partial KSPs are cached across iterations because neighbouring
 reference paths share most pairs (the Section 5.2 optimization).
 
-This module is the single-process reference semantics; the Spark layer
-(``repro.distrib.ksp_queries``) runs the same loop with the refine step
-fanned out per subgraph and/or whole queries fanned out per task.
+:func:`filter_refine` is the one copy of this loop; only the partial-KSP
+computation is pluggable.  :func:`ksp_dg` runs it on the driver (and,
+unchanged, inside each query task of ``repro.distrib.ksp_queries``);
+``repro.distrib.ksp_queries.ksp_dg_spark_refine`` runs it with each
+reference path's partial KSPs computed per (subgraph, pair) in one
+Spark job.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..roadnet.graph import Subgraph
 from .dijkstra import astar, reverse_spt
@@ -34,6 +37,7 @@ from .skeleton import attach_query_vertices
 from .yen import yen_iter, yen_ksp
 
 Path = List[int]
+Pair = Tuple[int, int]
 Scored = Tuple[Path, float]
 _EPS = 1e-9
 
@@ -47,7 +51,7 @@ class KSPResult:
     k: int
     paths: List[Scored]
     n_iterations: int
-    #: partial-KSP subgraph tasks actually executed (cache misses) — the
+    #: boundary pairs whose partial KSPs were computed (cache misses) — the
     #: refine-step work the cluster shares (Section 5.6 communication unit)
     n_partial_tasks: int = 0
     cache_hits: int = 0
@@ -78,15 +82,6 @@ def reference_paths(skeleton, s: int, t: int):
     return yen_iter(
         skeleton.neighbors, s, t, directed=skeleton.directed, spur_fn=spur_fn
     )
-
-
-@dataclass
-class _RefineState:
-    """Per-query cache of partial KSPs keyed by ordered boundary pair."""
-
-    partial: Dict[Tuple[int, int], List[Scored]] = field(default_factory=dict)
-    tasks: int = 0
-    hits: int = 0
 
 
 def partial_ksp(
@@ -139,25 +134,87 @@ def segment_ksp(
     return yen_ksp(neighbors, u, v, k, directed=sg.graph.directed)
 
 
-def _candidate_ksp(
-    dtlp: DTLP, ref_path: Path, k: int, state: _RefineState
-) -> List[Scored]:
-    """Algorithm 4: candidate KSPs matching one reference path."""
-    ends = (ref_path[0], ref_path[-1])
-    segments: List[List[Scored]] = []
-    for u, v in zip(ref_path, ref_path[1:]):
-        key = (u, v)
-        cached = state.partial.get(key)
-        if cached is None:
-            cached = partial_ksp(dtlp, u, v, k, ends)
-            state.partial[key] = cached
-            state.tasks += 1
+#: ``fetch(missing_pairs, (s, t))`` -> the k best segments of each pair,
+#: in order, up to and including the first pair that has none.
+Fetch = Callable[[List[Pair], Pair], Dict[Pair, List[Scored]]]
+
+
+def filter_refine(
+    dtlp: DTLP,
+    s: int,
+    t: int,
+    k: int,
+    fetch: Fetch,
+    max_iterations: Optional[int] = None,
+) -> KSPResult:
+    """The filter-and-refine loop of Algorithm 3, with Theorem 3's stop.
+
+    ``fetch`` computes the partial KSPs of the reference-path pairs not
+    yet cached (Algorithm 4, lines 3-8) — on the driver or as
+    distributed subgraph tasks; everything else runs here.  A reference
+    path yields candidates only if every pair has segments, so pairs
+    after the first one with none are neither fetched nor counted.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if s == t:
+        return KSPResult(s, t, k, [([s], 0.0)], n_iterations=0)
+
+    aug = attach_query_vertices(dtlp.skeleton, dtlp.partition, s, t)
+    refs = reference_paths(aug, s, t)
+    partial: Dict[Pair, List[Scored]] = {}  # Section 5.2 cache
+    tasks = hits = 0
+    results: Dict[Tuple[int, ...], float] = {}  # L, dedup by route
+
+    ref = next(refs, None)
+    n_iter = 0
+    while ref is not None:
+        n_iter += 1
+        pairs = list(zip(ref[0], ref[0][1:]))
+        missing = []
+        for pair in pairs:
+            cached = partial.get(pair)
+            if cached is None:
+                missing.append(pair)
+            elif not cached:
+                break
+        fetched = fetch(missing, (s, t))
+        partial.update(fetched)
+        tasks += len(fetched)
+        segments: List[List[Scored]] = []
+        for pair in pairs:
+            cached = partial.get(pair)
+            if cached is None:  # after a fetched pair with no segments
+                break
+            hits += pair not in fetched
+            if not cached:
+                break
+            segments.append(cached)
         else:
-            state.hits += 1
-        if not cached:
-            return []
-        segments.append(cached)
-    return k_best_join(segments, k)
+            for path, dist in k_best_join(segments, k):
+                key = tuple(path)
+                if key not in results or dist < results[key]:
+                    results[key] = dist
+        next_ref = next(refs, None)
+        kth = sorted(results.values())[k - 1] if len(results) >= k else float("inf")
+        if next_ref is None or kth <= next_ref[1] + _EPS:
+            break
+        if max_iterations is not None and n_iter >= max_iterations:
+            break
+        ref = next_ref
+
+    ranked = sorted(
+        ((list(p), d) for p, d in results.items()), key=lambda pd: (pd[1], pd[0])
+    )[:k]
+    return KSPResult(
+        s,
+        t,
+        k,
+        ranked,
+        n_iterations=n_iter,
+        n_partial_tasks=tasks,
+        cache_hits=hits,
+    )
 
 
 def ksp_dg(
@@ -169,59 +226,13 @@ def ksp_dg(
     max_iterations: Optional[int] = None,
 ) -> KSPResult:
     """Run KSP-DG for query ``q(s, t)`` against the current DTLP state."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if s == t:
-        return KSPResult(s, t, k, [([s], 0.0)], n_iterations=0)
 
-    aug = attach_query_vertices(dtlp.skeleton, dtlp.partition, s, t)
-    refs = reference_paths(aug, s, t)
-    state = _RefineState()
-    results: Dict[Tuple[int, ...], float] = {}  # L, dedup by route
+    def fetch(pairs: List[Pair], ends: Pair) -> Dict[Pair, List[Scored]]:
+        out: Dict[Pair, List[Scored]] = {}
+        for u, v in pairs:
+            out[(u, v)] = segments = partial_ksp(dtlp, u, v, k, ends)
+            if not segments:
+                break
+        return out
 
-    try:
-        ref_path, ref_dist = next(refs)
-    except StopIteration:
-        return KSPResult(s, t, k, [], n_iterations=0)
-
-    n_iter = 0
-    while True:
-        n_iter += 1
-        for path, dist in _candidate_ksp(dtlp, ref_path, k, state):
-            key = tuple(path)
-            if key not in results or dist < results[key]:
-                results[key] = dist
-        next_ref = next(refs, None)
-        kth = sorted(results.values())[k - 1] if len(results) >= k else float("inf")
-        if next_ref is None:
-            break
-        if kth <= next_ref[1] + _EPS:
-            break
-        if max_iterations is not None and n_iter >= max_iterations:
-            break
-        ref_path, ref_dist = next_ref
-
-    ranked = sorted(
-        ((list(p), d) for p, d in results.items()), key=lambda pd: (pd[1], pd[0])
-    )[:k]
-    return KSPResult(
-        s,
-        t,
-        k,
-        ranked,
-        n_iterations=n_iter,
-        n_partial_tasks=state.tasks,
-        cache_hits=state.hits,
-    )
-
-
-def ksp_dg_batch(
-    dtlp: DTLP, queries: List[Tuple[int, int]], k: int
-) -> List[KSPResult]:
-    """Process a batch of queries sequentially (driver-side reference).
-
-    The Spark layer distributes this loop; results are identical because
-    queries are independent given a fixed DTLP snapshot (Section 2's
-    snapshot semantics).
-    """
-    return [ksp_dg(dtlp, s, t, k) for s, t in queries]
+    return filter_refine(dtlp, s, t, k, fetch, max_iterations)

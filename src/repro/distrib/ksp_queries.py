@@ -13,14 +13,15 @@ Two parallelism axes, matching Section 6.1:
   kept across requests and replaced (the old one destroyed) only when
   the DTLP or its graph reports a new version.
 * **Subgraph-parallel refine** (:func:`ksp_dg_spark_refine`) — the
-  intra-query axis: per iteration, the (subgraph, boundary-pair) tasks
-  of the current reference path are cogrouped with the edges DataFrame
-  and each subgraph computes its partial k shortest paths in its own
-  task (the SubgraphBolt receiving a broadcast reference path), merged
-  back at the driver (the QueryBolt join).
+  intra-query axis: the driver runs the one filter-and-refine loop
+  (:func:`repro.core.ksp_dg.filter_refine`), and for each reference path
+  with uncached boundary pairs one RDD job spreads the (subgraph, pair)
+  partial-KSP units over the task slots, against the same broadcast
+  (the SubgraphBolts receiving a reference path); the driver pools each
+  pair's k best (the QueryBolt join).
 
-Both produce results identical to the driver reference
-(:func:`repro.core.ksp_dg.ksp_dg`); tests assert all three agree.
+Both return results equal, field for field, to the driver reference
+(:func:`repro.core.ksp_dg.ksp_dg`); tests assert that.
 """
 from __future__ import annotations
 
@@ -28,45 +29,18 @@ import threading
 import weakref
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import pandas as pd
 from pyspark import Broadcast, SparkContext
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
+from pyspark.sql import SparkSession
 
 from ..core.dtlp import DTLP
 from ..core.ksp_dg import (
     KSPResult,
+    Pair,
+    Scored,
+    filter_refine,
     ksp_dg,
-    reference_paths,
     segment_banned,
     segment_ksp,
-)
-from ..core.merge import k_best_join
-from ..core.skeleton import attach_query_vertices
-from ..roadnet.graph import Graph, Subgraph
-from .spark_graph import cogroup_by_subgraph, decode_path, edges_df, encode_path
-
-_EPS = 1e-9
-
-PARTIAL_SCHEMA = T.StructType(
-    [
-        T.StructField("sg_id", T.IntegerType(), False),
-        T.StructField("u", T.IntegerType(), False),
-        T.StructField("v", T.IntegerType(), False),
-        T.StructField("rank", T.IntegerType(), False),
-        T.StructField("path", T.StringType(), False),
-        T.StructField("dist", T.DoubleType(), False),
-    ]
-)
-
-TASKS_SCHEMA = T.StructType(
-    [
-        T.StructField("sg_id", T.IntegerType(), False),
-        T.StructField("u", T.IntegerType(), False),
-        T.StructField("v", T.IntegerType(), False),
-        T.StructField("banned", T.StringType(), False),
-        T.StructField("k", T.IntegerType(), False),
-    ]
 )
 
 
@@ -177,129 +151,54 @@ def process_batch_spark(
 
 
 # -- subgraph-parallel refine mode ------------------------------------------
-def _partial_ksp_tasks_spark(
-    spark: SparkSession,
-    edges: DataFrame,
-    tasks: List[Tuple[int, int, int, str]],
-    k: int,
-    directed: bool,
-) -> Dict[Tuple[int, int], List[Tuple[List[int], float]]]:
-    """Run Yen for each (sg_id, u, v, banned) task inside its subgraph's
-    Spark group; ``banned`` is the encoded :func:`segment_banned` set."""
-    tasks_pdf = pd.DataFrame(tasks, columns=["sg_id", "u", "v", "banned"])
-    tasks_pdf["k"] = k
-    tdf = spark.createDataFrame(tasks_pdf, schema=TASKS_SCHEMA)
-
-    def fn(edges_pdf: pd.DataFrame, tasks_pdf: pd.DataFrame) -> pd.DataFrame:
-        if tasks_pdf.empty or edges_pdf.empty:
-            return pd.DataFrame(
-                columns=["sg_id", "u", "v", "rank", "path", "dist"]
-            ).astype({"sg_id": int, "u": int, "v": int, "rank": int, "dist": float})
-        g = Graph(directed=directed)
-        for u, v, w, w0 in zip(
-            edges_pdf["u"], edges_pdf["v"], edges_pdf["w"], edges_pdf["w0"]
-        ):
-            g.add_edge(int(u), int(v), int(w0), float(w))
-        sg = Subgraph(g, int(edges_pdf["sg_id"].iloc[0]), list(g.edges()))
-        rows = []
-        for u, v, kk, banned in zip(
-            tasks_pdf["u"], tasks_pdf["v"], tasks_pdf["k"], tasks_pdf["banned"]
-        ):
-            if int(u) not in sg.vertex_set or int(v) not in sg.vertex_set:
-                continue
-            for rank, (path, dist) in enumerate(
-                segment_ksp(
-                    sg, int(u), int(v), int(kk), frozenset(decode_path(banned))
-                )
-            ):
-                rows.append(
-                    (sg.sg_id, int(u), int(v), rank, encode_path(path), dist)
-                )
-        return pd.DataFrame(
-            rows, columns=["sg_id", "u", "v", "rank", "path", "dist"]
-        )
-
-    out = (
-        cogroup_by_subgraph(edges, tdf)
-        .applyInPandas(fn, schema=PARTIAL_SCHEMA)
-        .collect()
-    )
-    pooled: Dict[Tuple[int, int], List[Tuple[List[int], float]]] = {}
-    for r in out:
-        pooled.setdefault((int(r["u"]), int(r["v"])), []).append(
-            (decode_path(r["path"]), float(r["dist"]))
-        )
-    return {
-        pair: sorted(paths, key=lambda pd_: pd_[1])[:k]
-        for pair, paths in pooled.items()
-    }
-
-
 def ksp_dg_spark_refine(
-    spark: SparkSession,
-    dtlp: DTLP,
-    s: int,
-    t: int,
-    k: int,
-    *,
-    edges: Optional[DataFrame] = None,
+    spark: SparkSession, dtlp: DTLP, s: int, t: int, k: int
 ) -> KSPResult:
     """KSP-DG with the refine step executed as distributed subgraph tasks.
 
     The filter step (reference paths on the replicated skeleton) stays
-    at the query owner, as in the paper; each iteration broadcasts the
-    reference path's (subgraph, pair) tasks to the SubgraphBolt
-    equivalent.  Results match :func:`repro.core.ksp_dg.ksp_dg` exactly.
+    at the query owner, as in the paper; for each reference path with
+    uncached pairs, one Spark job computes the partial KSPs of every
+    (subgraph, pair) (the SubgraphBolt step) against the versioned
+    broadcast :func:`process_batch_spark` uses, and the driver pools
+    each pair's k best.  Results match :func:`repro.core.ksp_dg.ksp_dg`
+    field for field.
     """
-    if s == t:
-        return KSPResult(s, t, k, [([s], 0.0)], n_iterations=0)
-    if edges is None:
-        edges = edges_df(spark, dtlp.graph, dtlp.partition)
-    aug = attach_query_vertices(dtlp.skeleton, dtlp.partition, s, t)
-    refs = reference_paths(aug, s, t)
+    sc = spark.sparkContext
     part = dtlp.partition
-    cache: Dict[Tuple[int, int], List[Tuple[List[int], float]]] = {}
-    results: Dict[Tuple[int, ...], float] = {}
 
-    first = next(refs, None)
-    if first is None:
-        return KSPResult(s, t, k, [], n_iterations=0)
-    ref_path, _ = first
-    n_iter = 0
-    n_tasks = 0
-    while True:
-        n_iter += 1
-        pairs = list(zip(ref_path, ref_path[1:]))
-        missing = [p for p in pairs if p not in cache]
-        if missing:
-            tasks = []
-            for u, v in missing:
-                for sg_id in sorted(
-                    set(part.home_subgraphs(u)) & set(part.home_subgraphs(v))
-                ):
-                    banned = segment_banned(part.boundary_of(sg_id), (s, t), u, v)
-                    tasks.append((sg_id, u, v, encode_path(sorted(banned))))
-            n_tasks += len(tasks)
-            pooled = _partial_ksp_tasks_spark(
-                spark, edges, tasks, k, dtlp.graph.directed
+    def fetch(pairs: List[Pair], ends: Pair) -> Dict[Pair, List[Scored]]:
+        # tasks close over ``bc`` (set below) alone: a replica holds ``sc``
+        tasks = [
+            (sg_id, u, v)
+            for u, v in pairs
+            for sg_id in sorted(
+                set(part.home_subgraphs(u)) & set(part.home_subgraphs(v))
             )
-            for u, v in missing:
-                cache[(u, v)] = pooled.get((u, v), [])
-        segments = [cache[p] for p in pairs]
-        if all(segments):
-            for path, dist in k_best_join(segments, k):
-                key = tuple(path)
-                if key not in results or dist < results[key]:
-                    results[key] = dist
-        next_ref = next(refs, None)
-        kth = sorted(results.values())[k - 1] if len(results) >= k else float("inf")
-        if next_ref is None or kth <= next_ref[1] + _EPS:
-            break
-        ref_path, _ = next_ref
+        ]
 
-    ranked = sorted(
-        ((list(p), d) for p, d in results.items()), key=lambda pd_: (pd_[1], pd_[0])
-    )[:k]
-    return KSPResult(
-        s, t, k, ranked, n_iterations=n_iter, n_partial_tasks=n_tasks
-    )
+        def fn(rows: Iterator[Tuple[int, int, int]]):
+            local = bc.value.partition
+            for sg_id, u, v in rows:
+                banned = segment_banned(local.boundary_of(sg_id), ends, u, v)
+                yield (u, v), segment_ksp(local.subgraphs[sg_id], u, v, k, banned)
+
+        pooled: Dict[Pair, List[Scored]] = {pair: [] for pair in pairs}
+        if tasks:
+            rdd = sc.parallelize(tasks, min(sc.defaultParallelism, len(tasks)))
+            # collect() keeps task order (pair, then sg_id), as partial_ksp pools
+            for pair, segments in rdd.mapPartitions(fn).collect():
+                pooled[pair].extend(segments)
+        out: Dict[Pair, List[Scored]] = {}
+        for pair in pairs:  # as the driver fetch: stop at a pair with none
+            out[pair] = sorted(pooled[pair], key=lambda pd_: pd_[1])[:k]
+            if not out[pair]:
+                break
+        return out
+
+    replica = _acquire_replica(sc, dtlp)
+    bc = replica.bc
+    try:
+        return filter_refine(dtlp, s, t, k, fetch)
+    finally:
+        _release_replica(replica)

@@ -14,12 +14,7 @@ from py4j.protocol import Py4JJavaError
 import repro
 
 from repro.core import DTLP, ksp_dg
-from repro.distrib import (
-    edges_df,
-    ksp_dg_spark_refine,
-    ksp_queries,
-    process_batch_spark,
-)
+from repro.distrib import ksp_dg_spark_refine, ksp_queries, process_batch_spark
 from repro.roadnet import (
     apply_deltas,
     grid_road_network,
@@ -322,11 +317,47 @@ def test_new_session_after_stop():
 class TestSubgraphParallelRefine:
     def test_matches_driver(self, spark, built, queries):
         g, dtlp = built
-        edges = edges_df(spark, g, dtlp.partition)
         for s, t in queries[:3]:
-            got = ksp_dg_spark_refine(spark, dtlp, s, t, 2, edges=edges)
-            exp = ksp_dg(dtlp, s, t, 2)
-            assert round_dists(got.paths) == round_dists(exp.paths)
+            assert ksp_dg_spark_refine(spark, dtlp, s, t, 2) == ksp_dg(dtlp, s, t, 2)
+
+    def test_matches_driver_after_update(self, spark, built, queries):
+        """Refine tasks read the index state of the request, not the
+        broadcast of an earlier one."""
+        g = built[0].copy()
+        dtlp = DTLP.build(g, z=18, xi=5)
+        batch = queries[::4]  # two queries of two iterations each
+        before = [ksp_dg_spark_refine(spark, dtlp, s, t, 2) for s, t in batch]
+        dtlp.update(snapshot_deltas(g, alpha=0.4, tau=0.4, seed=60))
+        after = [ksp_dg_spark_refine(spark, dtlp, s, t, 2) for s, t in batch]
+        assert after == [ksp_dg(dtlp, s, t, 2) for s, t in batch]
+        assert [r.paths for r in after] != [r.paths for r in before]
+        assert [round_dists(r.paths) for r in after] == _nx_dists(g, batch, 2)
+
+    def test_shares_query_broadcast(self, spark, built, queries):
+        """Refine runs on the query snapshot's broadcast, releases it, and
+        the next request on the unchanged DTLP reuses it."""
+        g = built[0].copy()
+        dtlp = DTLP.build(g, z=18, xi=5)
+        ksp_dg_spark_refine(spark, dtlp, *queries[0], 2)
+        files, bid = _temp_files(spark), _broadcast_id()
+        assert ksp_queries._replica.users == 0
+        results = process_batch_spark(spark, dtlp, queries[:2], k=2)
+        ksp_dg_spark_refine(spark, dtlp, *queries[1], 2)
+        assert (_temp_files(spark), _broadcast_id()) == (files, bid)
+        assert _answers(results) == _nx_dists(g, queries[:2], 2)
+
+    def test_one_job_per_fetching_iteration(self, spark, built, queries):
+        g, dtlp = built
+        s, t = queries[0]
+        res, jobs = _spark_jobs(spark, lambda: ksp_dg_spark_refine(spark, dtlp, s, t, 2))
+        assert 1 <= len(jobs) <= res.n_iterations
+        assert all(len(stages) == 1 for stages in jobs)
+
+    def test_invalid_k(self, spark, built, queries):
+        """Checked by the shared loop on the driver, not in a task."""
+        g, dtlp = built
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ksp_dg_spark_refine(spark, dtlp, *queries[0], 0)
 
     def test_segments_avoid_query_endpoints(self, spark):
         # a benchmark query whose kept partial paths all ran through s
