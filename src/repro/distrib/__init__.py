@@ -1,6 +1,5 @@
 """Spark dataflow layer: the paper's Storm topology re-expressed on Spark."""
 from .dtlp_build import (
-    build_bounding_df,
     build_dtlp_spark,
     lbd_df_from_bounding,
     skeleton_df_from_lbd,
@@ -10,7 +9,6 @@ from .maintenance import update_dtlp_spark, updated_edges_df
 from .spark_graph import deltas_df, deltas_pdf, edges_df, edges_pdf
 
 __all__ = [
-    "build_bounding_df",
     "build_dtlp_spark",
     "lbd_df_from_bounding",
     "skeleton_df_from_lbd",

@@ -3,56 +3,50 @@
 The expensive part of Algorithm 1 — Yen runs computing bounding paths
 inside every subgraph — is embarrassingly parallel per subgraph, which
 is exactly how the paper distributes it (each worker indexes the
-subgraphs it maintains).  Here:
+subgraphs it maintains).  :func:`build_dtlp_spark` groups the edges
+DataFrame by ``sg_id`` and runs
+:func:`~repro.core.bounding.build_subgraph_index` per group inside
+``applyInPandas``, emitting one row per bounding path with its current
+distance *and* bound distance; the driver collects the rows and
+reassembles the indexes and the skeleton (:func:`dtlp_from_bounding_rows`
+calls :func:`~repro.core.skeleton.build_skeleton`).
 
-1. the edges DataFrame is grouped by ``sg_id`` and each group runs
-   :func:`~repro.core.bounding.build_subgraph_index` inside
-   ``applyInPandas``, emitting one row per bounding path with its
-   current distance *and* bound distance;
-2. Theorem 1 then collapses to **pure Spark SQL**: per (subgraph, pair),
-   ``LBD = if(max(bd) >= min(dist), min(dist), max(bd))``;
-3. the skeleton edge weight is ``MBD = min(LBD)`` grouped by pair
-   (Section 3.6) — also plain SQL.
-
-Steps 2-3 are relational and verified against DuckDB with the repo
-oracle; step 1 is verified against the driver-side reference build.
+Theorem 1 and MBD over the same rows are also **pure Spark SQL**
+(:func:`lbd_df_from_bounding`, :func:`skeleton_df_from_lbd`); Spark
+maintenance derives its skeleton with them, and they are checked
+against DuckDB with the repo oracle.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.bounding import SubgraphIndex, build_subgraph_index
+from ..core.bounding import BoundingPath, BoundingSet, SubgraphIndex
+from ..core.bounding import build_subgraph_index
 from ..core.dtlp import DTLP
 from ..core.ep_index import EPIndex
 from ..core.partition import Partition, bfs_partition
 from ..core.skeleton import build_skeleton
-from ..roadnet.graph import Graph, Subgraph
+from ..roadnet.graph import Graph
 from .spark_graph import (
     BOUNDING_SCHEMA,
+    by_subgraph,
+    decode_path,
     edges_df,
     encode_path,
-    ensure_group_parallelism,
+    local_subgraph,
 )
 
 _EPS = 1e-9
 
 
-def _local_subgraph(pdf: pd.DataFrame, directed: bool) -> Subgraph:
-    """Rebuild one subgraph as a standalone local graph on the worker."""
-    g = Graph(directed=directed)
-    for u, v, w, w0 in zip(pdf["u"], pdf["v"], pdf["w"], pdf["w0"]):
-        g.add_edge(int(u), int(v), int(w0), float(w))
-    return Subgraph(g, int(pdf["sg_id"].iloc[0]), list(g.edges()))
-
-
 def _bounding_rows(
     pdf: pd.DataFrame, boundary: List[int], xi: int, directed: bool
 ) -> pd.DataFrame:
-    sg = _local_subgraph(pdf, directed)
+    sg = local_subgraph(pdf, directed)
     idx = build_subgraph_index(sg, boundary, xi)
     rows = []
     for (a, b), bset in idx.bounding.items():
@@ -78,18 +72,21 @@ def _bounding_rows(
 def build_bounding_df(
     spark: SparkSession, graph: Graph, partition: Partition, xi: int
 ) -> DataFrame:
-    """Fan the per-subgraph index construction out over the cluster."""
-    ensure_group_parallelism(spark)
+    """Fan the per-subgraph index construction out over the cluster.
+
+    The task closure carries the boundary sets: the returned DataFrame
+    is lazy and runs again on later actions, so a broadcast of them
+    could never be released.
+    """
     boundary_of = {
         sg.sg_id: partition.boundary_of(sg.sg_id) for sg in partition.subgraphs
     }
-    bc = spark.sparkContext.broadcast((boundary_of, xi, graph.directed))
+    directed = graph.directed
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        b_of, xi_, directed = bc.value
-        return _bounding_rows(pdf, b_of[int(pdf["sg_id"].iloc[0])], xi_, directed)
+        return _bounding_rows(pdf, boundary_of[int(pdf["sg_id"].iloc[0])], xi, directed)
 
-    edf = edges_df(spark, graph, partition)
+    edf = by_subgraph(edges_df(spark, graph, partition))
     return edf.groupBy("sg_id").applyInPandas(fn, schema=BOUNDING_SCHEMA)
 
 
@@ -134,13 +131,10 @@ def dtlp_from_bounding_rows(
     graph: Graph, partition: Partition, xi: int, rows
 ) -> DTLP:
     """Reassemble DTLP state from collected bounding-path rows."""
-    from ..core.bounding import BoundingPath, BoundingSet  # local import
-    import json
-
     per_sg: Dict[int, Dict[Tuple[int, int], List[BoundingPath]]] = {}
     completeness: Dict[Tuple[int, int, int], bool] = {}
     for r in rows:
-        bp = BoundingPath(tuple(json.loads(r["path"])), int(r["phi"]), float(r["dist"]))
+        bp = BoundingPath(tuple(decode_path(r["path"])), int(r["phi"]), float(r["dist"]))
         key = (int(r["sg_id"]), int(r["u"]), int(r["v"]))
         per_sg.setdefault(key[0], {}).setdefault((key[1], key[2]), []).append(bp)
         completeness[key] = bool(r["complete"])

@@ -127,6 +127,8 @@ def process_batch_spark(
     formally a capped run forfeits the Theorem 3 guarantee; tests always
     run uncapped.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not queries:
         return {}
     sc = spark.sparkContext

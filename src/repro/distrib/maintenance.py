@@ -33,8 +33,8 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from ..core.bounding import UnitWeightIndex
-from .dtlp_build import _local_subgraph, lbd_df_from_bounding, skeleton_df_from_lbd
-from .spark_graph import BOUNDING_SCHEMA, cogroup_by_subgraph, decode_path
+from .dtlp_build import lbd_df_from_bounding, skeleton_df_from_lbd
+from .spark_graph import BOUNDING_SCHEMA, by_subgraph, decode_path, local_subgraph
 
 
 def _edge_key(df: DataFrame, directed: bool) -> Tuple[Column, Column]:
@@ -86,7 +86,7 @@ def update_dtlp_spark(
     def refresh(edges_pdf: pd.DataFrame, paths_pdf: pd.DataFrame) -> pd.DataFrame:
         if paths_pdf.empty or not edges_pdf["dw"].any():
             return paths_pdf
-        sg = _local_subgraph(edges_pdf, directed)
+        sg = local_subgraph(edges_pdf, directed)
         dw_of = {
             (int(u), int(v)): float(dw)
             for u, v, dw in zip(edges_pdf["u"], edges_pdf["v"], edges_pdf["dw"])
@@ -100,8 +100,11 @@ def update_dtlp_spark(
         out["bd"] = UnitWeightIndex(sg).bd_many(out["phi"].to_numpy())
         return out
 
-    bounding_new = cogroup_by_subgraph(edges_dw, bounding).applyInPandas(
-        refresh, schema=BOUNDING_SCHEMA
+    bounding_new = (
+        by_subgraph(edges_dw)
+        .groupBy("sg_id")
+        .cogroup(by_subgraph(bounding).groupBy("sg_id"))
+        .applyInPandas(refresh, schema=BOUNDING_SCHEMA)
     )
     skeleton_new = skeleton_df_from_lbd(lbd_df_from_bounding(bounding_new))
     return edges_dw.drop("dw"), bounding_new, skeleton_new

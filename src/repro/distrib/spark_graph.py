@@ -5,7 +5,9 @@ the cluster: subgraphs (adjacency lists held by SubgraphBolts), the
 replicated skeleton graph, and query/update tuples.  Here:
 
 * subgraphs are rows of an **edges DataFrame** keyed by ``sg_id`` —
-  ``groupBy("sg_id").applyInPandas`` is the SubgraphBolt;
+  ``by_subgraph(df).groupBy("sg_id").applyInPandas`` is the SubgraphBolt,
+  and :func:`local_subgraph` turns one group's rows back into a
+  :class:`~repro.roadnet.graph.Subgraph`;
 * the skeleton graph plus everything a QueryBolt needs is a Spark
   **broadcast** of the DTLP query snapshot (replication, as in the
   paper; kept and versioned by ``ksp_queries``);
@@ -23,7 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from ..core.partition import Partition
-from ..roadnet.graph import Edge, Graph
+from ..roadnet.graph import Edge, Graph, Subgraph
 
 EDGES_SCHEMA = T.StructType(
     [
@@ -94,32 +96,24 @@ def decode_path(s: str) -> List[int]:
     return json.loads(s)
 
 
-def ensure_group_parallelism(spark: SparkSession) -> None:
-    """Disable AQE partition coalescing for compute-heavy group stages.
+def local_subgraph(pdf: pd.DataFrame, directed: bool) -> Subgraph:
+    """Rebuild one subgraph's edge rows as a standalone local graph."""
+    g = Graph(directed=directed)
+    for u, v, w, w0 in zip(pdf["u"], pdf["v"], pdf["w"], pdf["w0"]):
+        g.add_edge(int(u), int(v), int(w0), float(w))
+    return Subgraph(g, int(pdf["sg_id"].iloc[0]), list(g.edges()))
 
-    The per-subgraph build stage shuffles only a few MB, so AQE would
-    coalesce it into one task and serialize the whole cluster's compute
-    onto one worker; the cost here is CPU per *group*, not bytes.
-    Runtime-settable, idempotent.
+
+def by_subgraph(df: DataFrame) -> DataFrame:
+    """``df`` hash partitioned by ``sg_id``, one partition per task slot.
+
+    This sizes every per-subgraph Python stage: the build's
+    ``applyInPandas`` and both sides of the maintenance cogroup.  Every
+    Python task pays a fixed start-up cost (PySpark invalidates its
+    import caches per task: ~0.2 s on a 4-vCPU local deployment) that
+    dwarfs the per-subgraph work, so such a stage should run in one wave
+    of ``defaultParallelism`` tasks.  A ``groupBy("sg_id")`` reuses this
+    partitioning without another shuffle, and AQE does not coalesce an
+    explicit partition count, so no session setting is needed.
     """
-    spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
-
-
-def cogroup_by_subgraph(left: DataFrame, right: DataFrame):
-    """Cogroup two ``sg_id``-keyed DataFrames, one partition per task slot.
-
-    Every Python task pays a fixed start-up cost (PySpark invalidates
-    its import caches per task: ~0.2 s on a 4-vCPU local deployment)
-    that dwarfs the per-subgraph work, so the Python stage should run in
-    one wave: both sides are hash partitioned by ``sg_id`` into
-    ``defaultParallelism`` partitions, which the cogroup reuses without
-    another shuffle and AQE does not coalesce (the count is explicit).
-    Returns the cogrouped data; call ``applyInPandas`` on it.
-    """
-    n = left.sparkSession.sparkContext.defaultParallelism
-    return (
-        left.repartition(n, "sg_id")
-        .groupBy("sg_id")
-        .cogroup(right.repartition(n, "sg_id").groupBy("sg_id"))
-    )
-
+    return df.repartition(df.sparkSession.sparkContext.defaultParallelism, "sg_id")

@@ -1,4 +1,5 @@
-"""Shared test utilities: networkx oracles and graph conversions.
+"""Shared test utilities: networkx oracles, graph conversions and a
+Spark job probe.
 
 networkx is used ONLY in tests, as the exact gold standard:
 ``shortest_simple_paths`` is a proven KSP implementation, so any
@@ -6,7 +7,8 @@ disagreement is a bug in ``src/repro``.
 """
 from __future__ import annotations
 
-from itertools import islice
+import time
+from itertools import count, islice
 from typing import List, Tuple
 
 import networkx as nx
@@ -42,3 +44,31 @@ def nx_shortest_dist(G, s: int, t: int) -> float:
 
 def round_dists(scored: List[Tuple[List[int], float]], nd: int = 6) -> List[float]:
     return [round(d, nd) for _, d in scored]
+
+
+_groups = count()
+
+
+def spark_jobs(spark, run):
+    """``run()``'s result and, per Spark job it started (in start
+    order), the task count of each of the job's stages (in stage order)."""
+    sc = spark.sparkContext
+    group = f"probe-{next(_groups)}"
+    try:
+        sc.setJobGroup(group, "probe")
+        result = run()
+        # The status tracker is fed asynchronously, in event order: once
+        # it lists this later job it lists every job ``run`` started.
+        sc.setJobGroup(group + "-end", "probe")
+        spark.range(1).count()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    st = sc.statusTracker()
+    deadline = time.monotonic() + 30
+    while not st.getJobIdsForGroup(group + "-end"):
+        assert time.monotonic() < deadline, "status tracker never saw the job"
+        time.sleep(0.05)
+    jobs = [st.getJobInfo(j) for j in sorted(st.getJobIdsForGroup(group))]
+    return result, [
+        [st.getStageInfo(s).numTasks for s in sorted(j.stageIds)] for j in jobs
+    ]

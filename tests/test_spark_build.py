@@ -5,18 +5,21 @@ checked against DuckDB via the repo oracle, per the repo's correctness
 policy: every query-shaped dataflow step gets an independent engine
 check, not just "it ran".
 """
+import os
+
 import pandas as pd
 import pytest
 
 from repro.core import DTLP, bfs_partition
 from repro.distrib import (
-    build_bounding_df,
     build_dtlp_spark,
     edges_pdf,
     lbd_df_from_bounding,
     skeleton_df_from_lbd,
 )
 from repro.oracle import assert_equivalent
+
+from ._utils import spark_jobs
 from repro.roadnet import apply_deltas, random_connected_graph, snapshot_deltas
 
 _LBD_SQL = """
@@ -110,3 +113,31 @@ class TestEdgesDataFrame:
     def test_build_bounding_df_schema(self, built):
         _, _, _, bounding = built
         assert bounding.columns == ["sg_id", "u", "v", "path", "phi", "dist", "bd", "complete"]
+
+
+class TestSparkResources:
+    def test_build_leaves_no_broadcast_file(self, spark):
+        """The build's task closure carries its inputs, so no broadcast
+        file is left behind, and the lazy result still runs later."""
+        temp_dir = spark.sparkContext._temp_dir
+        before = set(os.listdir(temp_dir))
+        built = [
+            build_dtlp_spark(spark, random_connected_graph(40, seed=s), z=12, xi=3)
+            for s in (25, 26)
+        ]
+        assert set(os.listdir(temp_dir)) - before == set()
+        for dtlp, bounding in built:
+            sets = [b for idx in dtlp.sub_indexes for b in idx.bounding.values()]
+            assert bounding.count() == sum(len(b.paths) for b in sets)
+
+    def test_python_stage_one_task_per_slot(self, spark):
+        """Under the fixture's 64 shuffle partitions, the per-subgraph
+        stage still runs one task per slot, and every stage at most that."""
+        g = random_connected_graph(50, seed=27, extra_edge_frac=0.5)
+        (dtlp, _), jobs = spark_jobs(
+            spark, lambda: build_dtlp_spark(spark, g, z=12, xi=3)
+        )
+        n = spark.sparkContext.defaultParallelism
+        assert jobs[-1][-1] == n
+        assert max(max(stages) for stages in jobs) == n
+        assert dtlp.stats() == DTLP.build(g.copy(), z=12, xi=3).stats()

@@ -18,6 +18,8 @@ from repro.distrib import (
 from repro.oracle import assert_equivalent
 from repro.roadnet import random_connected_graph, snapshot_deltas
 
+from ._utils import spark_jobs
+
 
 @pytest.fixture(scope="module")
 def state(spark):
@@ -169,3 +171,31 @@ class TestDirectedUpdate:
         )
         dtlp.update(deltas)
         assert _skeleton_rows(skeleton_new, True) == _skeleton_edges(dtlp)
+
+
+class TestSessionAndStages:
+    _AQE_COALESCE = "spark.sql.adaptive.coalescePartitions.enabled"
+
+    def test_caller_conf_untouched(self, spark):
+        """Build and maintenance leave the caller's AQE coalescing on."""
+        old = spark.conf.get(self._AQE_COALESCE)
+        spark.conf.set(self._AQE_COALESCE, "true")
+        try:
+            g = random_connected_graph(40, seed=33)
+            dtlp, bounding = build_dtlp_spark(spark, g, z=12, xi=3)
+            deltas = snapshot_deltas(g, alpha=0.5, tau=0.4, seed=34)
+            _, _, skeleton_new = update_dtlp_spark(
+                edges_df(spark, g, dtlp.partition), bounding, deltas_df(spark, deltas)
+            )
+            skeleton_new.collect()
+            assert spark.conf.get(self._AQE_COALESCE) == "true"
+        finally:
+            spark.conf.set(self._AQE_COALESCE, old)
+
+    def test_cogroup_stage_one_task_per_slot(self, state, spark):
+        """Under the fixture's 64 shuffle partitions, the per-subgraph
+        refresh runs one task per slot."""
+        g, dtlp, bounding, deltas, edf, ddf = state
+        _, bounding_new, _ = update_dtlp_spark(edf, bounding, ddf)
+        _, jobs = spark_jobs(spark, bounding_new.collect)
+        assert jobs[-1][-1] == spark.sparkContext.defaultParallelism

@@ -1,12 +1,10 @@
 """Distributed KSP query processing vs driver reference and networkx."""
-import itertools
 import os
 import pickle
 import random
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 from py4j.protocol import Py4JJavaError
@@ -22,7 +20,7 @@ from repro.roadnet import (
     snapshot_deltas,
 )
 
-from ._utils import nx_ksp_dists, round_dists, to_nx
+from ._utils import nx_ksp_dists, round_dists, spark_jobs, to_nx
 
 
 @pytest.fixture(scope="module")
@@ -62,32 +60,6 @@ def _temp_files(spark):
 
 def _broadcast_id():
     return ksp_queries._replica.bc._jbroadcast.id()
-
-
-_groups = itertools.count()
-
-
-def _spark_jobs(spark, run):
-    """``run()``'s result and, per Spark job it started, the task count
-    of each of the job's stages."""
-    sc = spark.sparkContext
-    group = f"probe-{next(_groups)}"
-    try:
-        sc.setJobGroup(group, "probe")
-        result = run()
-        # The status tracker is fed asynchronously, in event order: once
-        # it lists this later job it lists every job ``run`` started.
-        sc.setJobGroup(group + "-end", "probe")
-        spark.range(1).count()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    st = sc.statusTracker()
-    deadline = time.monotonic() + 30
-    while not st.getJobIdsForGroup(group + "-end"):
-        assert time.monotonic() < deadline, "status tracker never saw the job"
-        time.sleep(0.05)
-    jobs = [st.getJobInfo(j) for j in sorted(st.getJobIdsForGroup(group))]
-    return result, [[st.getStageInfo(s).numTasks for s in j.stageIds] for j in jobs]
 
 
 class TestQueryParallel:
@@ -196,7 +168,7 @@ class TestVersionedBroadcast:
     def test_one_job_per_request(self, spark, built, queries):
         g, dtlp = built
         for batch in (queries[:1], queries):
-            results, jobs = _spark_jobs(
+            results, jobs = spark_jobs(
                 spark, lambda: process_batch_spark(spark, dtlp, batch, k=2)
             )
             assert len(results) == len(batch)
@@ -244,10 +216,22 @@ class TestVersionedBroadcast:
 class TestEdgeCases:
     def test_empty_batch_starts_no_job(self, spark, built):
         g, dtlp = built
-        results, jobs = _spark_jobs(
+        results, jobs = spark_jobs(
             spark, lambda: process_batch_spark(spark, dtlp, [], k=2)
         )
         assert results == {} and jobs == []
+
+    def test_invalid_k_starts_no_job(self, spark, built, queries):
+        """Checked on the driver, before the empty-batch return."""
+        g, dtlp = built
+
+        def run():
+            for batch in (queries, []):
+                with pytest.raises(ValueError, match="k must be >= 1"):
+                    process_batch_spark(spark, dtlp, batch, k=0)
+
+        _, jobs = spark_jobs(spark, run)
+        assert jobs == []
 
     def test_trivial_query_in_batch(self, spark, built, queries):
         g, dtlp = built
@@ -258,7 +242,7 @@ class TestEdgeCases:
 
     def test_no_empty_tasks(self, spark, built, queries):
         g, dtlp = built
-        results, jobs = _spark_jobs(
+        results, jobs = spark_jobs(
             spark,
             lambda: process_batch_spark(spark, dtlp, queries[:3], k=2, n_partitions=8),
         )
@@ -349,7 +333,7 @@ class TestSubgraphParallelRefine:
     def test_one_job_per_fetching_iteration(self, spark, built, queries):
         g, dtlp = built
         s, t = queries[0]
-        res, jobs = _spark_jobs(spark, lambda: ksp_dg_spark_refine(spark, dtlp, s, t, 2))
+        res, jobs = spark_jobs(spark, lambda: ksp_dg_spark_refine(spark, dtlp, s, t, 2))
         assert 1 <= len(jobs) <= res.n_iterations
         assert all(len(stages) == 1 for stages in jobs)
 
