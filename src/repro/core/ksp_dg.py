@@ -55,6 +55,9 @@ class KSPResult:
     #: refine-step work the cluster shares (Section 5.6 communication unit)
     n_partial_tasks: int = 0
     cache_hits: int = 0
+    #: False when ``max_iterations`` stopped the loop before Theorem 3's
+    #: stop held: ``paths`` are then the best found so far (anytime mode)
+    exact: bool = True
 
 
 def reference_paths(skeleton, s: int, t: int):
@@ -168,6 +171,7 @@ def filter_refine(
 
     ref = next(refs, None)
     n_iter = 0
+    exact = True
     while ref is not None:
         n_iter += 1
         pairs = list(zip(ref[0], ref[0][1:]))
@@ -200,6 +204,7 @@ def filter_refine(
         if next_ref is None or kth <= next_ref[1] + _EPS:
             break
         if max_iterations is not None and n_iter >= max_iterations:
+            exact = False
             break
         ref = next_ref
 
@@ -214,6 +219,7 @@ def filter_refine(
         n_iterations=n_iter,
         n_partial_tasks=tasks,
         cache_hits=hits,
+        exact=exact,
     )
 
 

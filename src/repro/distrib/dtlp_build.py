@@ -18,9 +18,8 @@ against DuckDB with the repo oracle.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -38,7 +37,11 @@ from .spark_graph import (
     edges_df,
     encode_path,
     local_subgraph,
+    prepare_worker,
 )
+
+if TYPE_CHECKING:  # imported where used, as in ``spark_graph``
+    import pandas as pd
 
 _EPS = 1e-9
 
@@ -46,6 +49,8 @@ _EPS = 1e-9
 def _bounding_rows(
     pdf: pd.DataFrame, boundary: List[int], xi: int, directed: bool
 ) -> pd.DataFrame:
+    import pandas as pd
+
     sg = local_subgraph(pdf, directed)
     idx = build_subgraph_index(sg, boundary, xi)
     rows = []
@@ -84,6 +89,7 @@ def build_bounding_df(
     directed = graph.directed
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
+        prepare_worker()
         return _bounding_rows(pdf, boundary_of[int(pdf["sg_id"].iloc[0])], xi, directed)
 
     edf = by_subgraph(edges_df(spark, graph, partition))

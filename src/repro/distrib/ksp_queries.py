@@ -42,6 +42,7 @@ from ..core.ksp_dg import (
     segment_banned,
     segment_ksp,
 )
+from .spark_graph import prepare_worker
 
 
 # -- query-parallel mode ----------------------------------------------------
@@ -124,8 +125,8 @@ def process_batch_spark(
     measurements the returned lists were already exact well before
     typical caps — the trailing iterations only certify optimality by
     pushing the next reference distance above the k-th candidate — but
-    formally a capped run forfeits the Theorem 3 guarantee; tests always
-    run uncapped.
+    formally a capped run forfeits the Theorem 3 guarantee, so a query
+    the cap stopped comes back with ``exact`` False.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -136,6 +137,7 @@ def process_batch_spark(
     bc = replica.bc  # the task closes over this alone: a replica holds ``sc``
 
     def fn(rows: Iterator[Tuple[int, int, int]]) -> Iterator[Tuple[int, KSPResult]]:
+        prepare_worker()
         local: DTLP = bc.value
         for qid, s, t in rows:
             yield qid, ksp_dg(local, s, t, k, max_iterations=max_iterations)
@@ -180,6 +182,7 @@ def ksp_dg_spark_refine(
         ]
 
         def fn(rows: Iterator[Tuple[int, int, int]]):
+            prepare_worker()
             local = bc.value.partition
             for sg_id, u, v in rows:
                 banned = segment_banned(local.boundary_of(sg_id), ends, u, v)

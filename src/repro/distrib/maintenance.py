@@ -26,15 +26,23 @@ checked for equality with the driver reference update.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from ..core.bounding import UnitWeightIndex
 from .dtlp_build import lbd_df_from_bounding, skeleton_df_from_lbd
-from .spark_graph import BOUNDING_SCHEMA, by_subgraph, decode_path, local_subgraph
+from .spark_graph import (
+    BOUNDING_SCHEMA,
+    by_subgraph,
+    decode_path,
+    local_subgraph,
+    prepare_worker,
+)
+
+if TYPE_CHECKING:  # not loaded on import, as in ``spark_graph``
+    import pandas as pd
 
 
 def _edge_key(df: DataFrame, directed: bool) -> Tuple[Column, Column]:
@@ -84,6 +92,7 @@ def update_dtlp_spark(
     edges_dw = _edges_with_dw(edges, deltas, directed)
 
     def refresh(edges_pdf: pd.DataFrame, paths_pdf: pd.DataFrame) -> pd.DataFrame:
+        prepare_worker()
         if paths_pdf.empty or not edges_pdf["dw"].any():
             return paths_pdf
         sg = local_subgraph(edges_pdf, directed)

@@ -18,14 +18,23 @@ All schemas are explicit so Catalyst plans don't depend on inference.
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, Sequence, Tuple
+import os
+import sys
+import types
+import zipimport
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from ..core.partition import Partition
 from ..roadnet.graph import Edge, Graph, Subgraph
+
+# pandas is imported only where a frame is built: every task body of
+# this package loads this module, and loading pandas costs a new Python
+# worker about 0.3 s that its RDD tasks (the query tasks) never need.
+if TYPE_CHECKING:
+    import pandas as pd
 
 EDGES_SCHEMA = T.StructType(
     [
@@ -61,6 +70,8 @@ BOUNDING_SCHEMA = T.StructType(
 
 def edges_pdf(graph: Graph, partition: Partition) -> pd.DataFrame:
     """Edge rows with their owning subgraph, as pandas (for DuckDB too)."""
+    import pandas as pd
+
     rows = [
         (
             partition.subgraph_of_edge[e],
@@ -79,6 +90,8 @@ def edges_df(spark: SparkSession, graph: Graph, partition: Partition) -> DataFra
 
 
 def deltas_pdf(deltas: Sequence[Tuple[Edge, float]]) -> pd.DataFrame:
+    import pandas as pd
+
     return pd.DataFrame(
         [(u, v, dw) for (u, v), dw in deltas], columns=["u", "v", "dw"]
     )
@@ -108,12 +121,55 @@ def by_subgraph(df: DataFrame) -> DataFrame:
     """``df`` hash partitioned by ``sg_id``, one partition per task slot.
 
     This sizes every per-subgraph Python stage: the build's
-    ``applyInPandas`` and both sides of the maintenance cogroup.  Every
-    Python task pays a fixed start-up cost (PySpark invalidates its
-    import caches per task: ~0.2 s on a 4-vCPU local deployment) that
-    dwarfs the per-subgraph work, so such a stage should run in one wave
-    of ``defaultParallelism`` tasks.  A ``groupBy("sg_id")`` reuses this
-    partitioning without another shuffle, and AQE does not coalesce an
-    explicit partition count, so no session setting is needed.
+    ``applyInPandas`` and both sides of the maintenance cogroup.  A
+    Python task still costs more than the per-subgraph work: on a 4-vCPU
+    ``local[2]`` deployment each task beyond the first wave added about
+    25 ms to a trivial job in reused workers (after
+    :func:`prepare_worker`; 130 ms without it), and a new worker's first
+    task re-reads ``pyspark.zip`` (about 0.2 s).  So such a stage should
+    run in one wave of ``defaultParallelism`` tasks.  A
+    ``groupBy("sg_id")`` reuses this partitioning without another
+    shuffle, and AQE does not coalesce an explicit partition count, so
+    no session setting is needed.
     """
     return df.repartition(df.sparkSession.sparkContext.defaultParallelism, "sg_id")
+
+
+def prepare_worker(cache: Optional[Dict[str, object]] = None) -> None:
+    """Make this Python worker's zip importers re-read only changed archives.
+
+    PySpark calls ``importlib.invalidate_caches()`` before every task,
+    and under CPython 3.11 each ``zipimporter`` then re-parses its
+    archive's central directory: the worker's 16 importers over
+    ``pyspark.zip`` cost about 0.2 s per task, in a reused worker too.
+    Every task body of this package calls this first.  It gives each
+    zip importer in ``cache`` (default ``sys.path_importer_cache``) an
+    ``invalidate_caches`` that re-reads only when the archive's
+    ``(st_mtime_ns, st_size)`` differs from the one seen at patching,
+    right after PySpark's re-read for this task, or cannot be stat'ed;
+    later tasks of the same worker so skip the re-read, while the first
+    task of a new worker still pays it.  A zip added later
+    (``sc.addPyFile``) is a new path with a fresh importer.
+    """
+    finders = sys.path_importer_cache if cache is None else cache
+    for finder in list(finders.values()):
+        if isinstance(finder, zipimport.zipimporter) and not hasattr(
+            finder, "_archive_stat"
+        ):
+            finder._archive_stat = _archive_stat(finder.archive)
+            finder.invalidate_caches = types.MethodType(_reread_if_changed, finder)
+
+
+def _archive_stat(path: str) -> Optional[Tuple[int, int]]:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_mtime_ns, st.st_size
+
+
+def _reread_if_changed(finder: zipimport.zipimporter) -> None:
+    stat = _archive_stat(finder.archive)
+    if stat is None or stat != finder._archive_stat:
+        finder._archive_stat = stat
+        zipimport.zipimporter.invalidate_caches(finder)

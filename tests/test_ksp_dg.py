@@ -193,6 +193,23 @@ class TestEdgeCases:
         res = ksp_dg(dtlp, 0, 49, 4, max_iterations=2)
         assert res.n_iterations <= 2
 
+    def test_cap_flags_inexact(self):
+        """A query stopped by ``max_iterations`` before Theorem 3's stop
+        says so; the same query uncapped is exact."""
+        g = grid_road_network(8, 8, seed=3)
+        apply_deltas(g, snapshot_deltas(g, alpha=0.5, tau=0.5, seed=4))
+        dtlp = DTLP.build(g, z=12, xi=4)
+        full = ksp_dg(dtlp, 0, 63, 3)
+        assert full.n_iterations > 1 and full.exact is True
+        capped = ksp_dg(dtlp, 0, 63, 3, max_iterations=1)
+        assert capped.n_iterations == 1 and capped.exact is False
+        assert ksp_dg(dtlp, 0, 63, 3, max_iterations=full.n_iterations).exact
+
+    def test_trivial_query_exact(self):
+        g = grid_road_network(4, 4, seed=3)
+        dtlp = DTLP.build(g, z=8, xi=2)
+        assert ksp_dg(dtlp, 5, 5, 2, max_iterations=1).exact is True
+
 
 class TestCountersAndBatch:
     def test_iterations_grow_with_k_on_average(self):

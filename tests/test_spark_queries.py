@@ -97,6 +97,15 @@ class TestQueryParallel:
         assert any(r.n_partial_tasks for r in results.values())
         assert any(r.cache_hits for r in results.values())
 
+    def test_capped_results_equal_driver_field_for_field(self, spark, built, queries):
+        """A query stopped by ``max_iterations`` comes back inexact."""
+        g, dtlp = built
+        results = process_batch_spark(spark, dtlp, queries, k=3, max_iterations=1)
+        snap = dtlp.query_snapshot()
+        for qid, (s, t) in enumerate(queries):
+            assert results[qid] == ksp_dg(snap, s, t, 3, max_iterations=1)
+        assert any(not r.exact for r in results.values())
+
     def test_releases_snapshot_broadcast(self, spark, built, queries):
         """Each request's broadcast file is deleted once it has answered."""
         g, dtlp = built
