@@ -172,6 +172,7 @@ def filter_refine(
     ref = next(refs, None)
     n_iter = 0
     exact = True
+    kth = float("inf")  # the k-th distance in L
     while ref is not None:
         n_iter += 1
         pairs = list(zip(ref[0], ref[0][1:]))
@@ -195,7 +196,8 @@ def filter_refine(
                 break
             segments.append(cached)
         else:
-            for path, dist in k_best_join(segments, k):
+            # a join costing more than L's k-th distance cannot enter L
+            for path, dist in k_best_join(segments, k, bound=kth):
                 key = tuple(path)
                 if key not in results or dist < results[key]:
                     results[key] = dist

@@ -9,11 +9,15 @@ module instead enumerates combinations best-first from a heap (the
 classic k-smallest-sums frontier over one index per segment), discarding
 non-simple concatenations — exact, and never slower asymptotically than
 re-sorting the paper's beam.  A generous expansion cap bounds the
-pathological case where almost every combination shares vertices.
+pathological case where almost every combination shares vertices, and
+KSP-DG passes the k-th distance found so far as ``bound``: a query that
+needs hundreds of reference paths would otherwise pop hundreds of
+non-simple combinations per join that could no longer enter its answer.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from typing import List, Sequence, Tuple
 
 Path = List[int]
@@ -41,13 +45,15 @@ def k_best_join(
     k: int,
     *,
     max_expansions: int | None = None,
+    bound: float = math.inf,
 ) -> List[Scored]:
     """Up to ``k`` cheapest simple concatenations, cheapest first.
 
     ``segments[i]`` must be sorted by distance ascending and each
     segment's paths must start where the previous segment's paths end.
     Returns fewer than ``k`` results if the simple-path combinations run
-    out (or the expansion cap is hit).
+    out, the next combination costs more than ``bound``, or the
+    expansion cap is hit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -63,7 +69,7 @@ def k_best_join(
     seen = {start}
     out: List[Scored] = []
     expansions = 0
-    while heap and len(out) < k and expansions < cap:
+    while heap and len(out) < k and expansions < cap and heap[0][0] <= bound:
         expansions += 1
         dist, idx = heapq.heappop(heap)
         full = concat_segments([segments[i][j][0] for i, j in enumerate(idx)])

@@ -205,6 +205,29 @@ class TestEdgeCases:
         assert capped.n_iterations == 1 and capped.exact is False
         assert ksp_dg(dtlp, 0, 63, 3, max_iterations=full.n_iterations).exact
 
+    def test_join_bound_changes_no_answer(self, monkeypatch):
+        """The join gets L's k-th distance as its bound to save work
+        only: every field of every result is what an unbounded join
+        gives, on queries where the bound did cut a join short."""
+        mod = importlib.import_module("repro.core.ksp_dg")
+        g = grid_road_network(10, 10, seed=14)
+        apply_deltas(g, snapshot_deltas(g, alpha=0.5, tau=0.5, seed=15))
+        dtlp = DTLP.build(g, z=20, xi=4)
+        rng = random.Random(16)
+        queries = [tuple(rng.sample(range(100), 2)) for _ in range(30)]
+        bounded = [ksp_dg(dtlp, s, t, 3) for s, t in queries]
+        join = mod.k_best_join
+        cut = []
+
+        def unbounded(segments, k, *, bound=float("inf"), **kwargs):
+            out = join(segments, k, **kwargs)
+            cut.append(len(join(segments, k, bound=bound, **kwargs)) < len(out))
+            return out
+
+        monkeypatch.setattr(mod, "k_best_join", unbounded)
+        assert [ksp_dg(dtlp, s, t, 3) for s, t in queries] == bounded
+        assert any(cut)
+
     def test_trivial_query_exact(self):
         g = grid_road_network(4, 4, seed=3)
         dtlp = DTLP.build(g, z=8, xi=2)

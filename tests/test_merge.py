@@ -95,6 +95,19 @@ class TestKBestJoin:
         got = k_best_join(segments, 5, max_expansions=1)
         assert len(got) <= 1
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bound_drops_only_costlier_combinations(self, seed):
+        segments = _random_segments(seed, n_paths=5)
+        full = k_best_join(segments, 8)
+        for bound in sorted({d for _, d in full}):
+            assert k_best_join(segments, 8, bound=bound) == [
+                (p, d) for p, d in full if d <= bound
+            ]
+
+    def test_bound_below_cheapest_returns_empty(self):
+        segments = [[([1, 2], 1.0)], [([2, 3], 2.0)]]
+        assert k_best_join(segments, 3, bound=2.5) == []
+
     def test_fewer_than_k_available(self):
         segments = [[([1, 2], 1.0)], [([2, 3], 2.0)]]
         assert k_best_join(segments, 10) == [([1, 2, 3], 3.0)]
