@@ -51,7 +51,7 @@ def _bounding_rows(
 ) -> pd.DataFrame:
     import pandas as pd
 
-    sg = local_subgraph(pdf, directed)
+    sg = local_subgraph(pdf.itertuples(index=False, name=None), directed)
     idx = build_subgraph_index(sg, boundary, xi)
     rows = []
     for (a, b), bset in idx.bounding.items():
@@ -101,14 +101,16 @@ def lbd_df_from_bounding(bounding: DataFrame) -> DataFrame:
 
     Incomplete sets (first phi class truncated by the enumeration cap)
     use the conservative ``min(bd)`` fallback — see
-    :class:`repro.core.bounding.BoundingSet`.
+    :class:`repro.core.bounding.BoundingSet`.  The rows are shuffled
+    once, by ``(u, v)``: that placement serves both this per-``(sg_id,
+    u, v)`` aggregate and :func:`skeleton_df_from_lbd`'s per-``(u, v)``
+    one, so the skeleton needs no second exchange.
     """
-    return bounding.groupBy("sg_id", "u", "v").agg(
-        F.when(~F.bool_and("complete"), F.min("bd"))
-        .when(F.max("bd") >= F.min("dist") - F.lit(_EPS), F.min("dist"))
-        .otherwise(F.max("bd"))
-        .alias("lbd")
-    )
+    lbd = F.expr(  # one parse: each Column call is a round trip to the JVM
+        "CASE WHEN NOT bool_and(complete) THEN min(bd)"
+        f" WHEN max(bd) >= min(dist) - {_EPS!r} THEN min(dist) ELSE max(bd) END"
+    ).alias("lbd")
+    return bounding.repartition("u", "v").groupBy("sg_id", "u", "v").agg(lbd)
 
 
 def skeleton_df_from_lbd(lbd: DataFrame) -> DataFrame:

@@ -4,39 +4,40 @@ A batch of weight deltas is applied the way the paper's workers apply
 it (Section 6.1): each change goes to the owner of its edge's subgraph,
 and the owner refreshes that subgraph's bounding paths in one pass.
 
-1. **delta aggregation** — the batch is summed per edge key (the key
-   :meth:`repro.roadnet.graph.Graph.canonical` uses), so an edge listed
-   twice moves by the sum of its deltas;
-2. **edge refresh** — the aggregated deltas are broadcast-joined onto the
-   edges DataFrame, giving the new weights plus each edge's ``dw``;
-3. **per-subgraph refresh** — one cogrouped ``applyInPandas`` over
-   (edges, bounding paths) per subgraph shifts each path's ``dist`` by
-   the sum of ``dw`` over its edges (Algorithm 2, line 3) and recomputes
-   every path's ``bd`` from the new unit weights (line 4); a subgraph
-   the batch does not touch passes its rows through.  The build
-   module's SQL then derives LBD and the new skeleton (lines 5-8).
+1. **on the driver** — the batch (a few hundred rows) is summed per
+   edge key (:meth:`Graph.canonical`'s), so an edge listed twice moves
+   by the sum of its deltas, and applied to the collected edges state,
+   returned as a local DataFrame.  Each touched subgraph gets its
+   per-edge ``dw`` and a :class:`UnitWeightIndex` over its new weights;
+2. **path refresh** — one map-only ``mapInPandas`` over the bounding
+   rows, whose closure carries that state, shifts each path's ``dist``
+   by the sum of ``dw`` over its edges (Algorithm 2, line 3) and sets
+   its ``bd`` from the new unit weights (line 4).  Both are per row, so
+   nothing is shuffled; rows of untouched subgraphs pass through.  The
+   build module's SQL then derives LBD and the skeleton in one shuffle
+   (lines 5-8).
 
-There is no EP-Index on this side: every path of a touched subgraph
-needs a new ``bd`` anyway, so one pass over the subgraph's paths does
-the work of the EP-Index lookup and the refresh together.  The driver
-:meth:`repro.core.dtlp.DTLP.update` keeps the O(affected) EP-Index.
+There is no EP-Index on this side (the driver ``DTLP.update`` keeps
+one): every path of a touched subgraph needs a new ``bd`` anyway.
+Collecting the edges adds no O(|E|) transfer that serving does not
+make: the query broadcast ships every subgraph's current weights.
 
-Step 2 is checked against the DuckDB oracle; the end-to-end result is
-checked for equality with the driver reference update.
+The new edges are checked against the DuckDB oracle; the end-to-end
+result is checked for equality with the driver reference update.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Tuple
 
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from ..core.bounding import UnitWeightIndex
+from ..roadnet.graph import Edge, Graph
 from .dtlp_build import lbd_df_from_bounding, skeleton_df_from_lbd
 from .spark_graph import (
     BOUNDING_SCHEMA,
-    by_subgraph,
-    decode_path,
+    EDGES_SCHEMA,
+    decode_paths,
     local_subgraph,
     prepare_worker,
 )
@@ -44,36 +45,43 @@ from .spark_graph import (
 if TYPE_CHECKING:  # not loaded on import, as in ``spark_graph``
     import pandas as pd
 
-
-def _edge_key(df: DataFrame, directed: bool) -> Tuple[Column, Column]:
-    """The ``(u, v)`` edge key of :meth:`Graph.canonical`, as columns."""
-    if directed:
-        return df.u, df.v
-    return F.least(df.u, df.v), F.greatest(df.u, df.v)
+#: sg_id -> (summed delta of each step ``(a, b)`` a path may take, unit weights)
+Touched = Dict[int, Tuple[Dict[Edge, float], UnitWeightIndex]]
 
 
-def _edges_with_dw(edges: DataFrame, deltas: DataFrame, directed: bool) -> DataFrame:
-    """Edges at their new weights, with the summed delta ``dw`` (0 if none).
+def _apply_deltas(
+    edges: DataFrame, deltas: DataFrame, directed: bool
+) -> Tuple[DataFrame, Touched]:
+    """Step 1 over rows in ``EDGES_SCHEMA``/``DELTAS_SCHEMA`` column order:
+    the edges at their new weights, and the touched subgraphs."""
+    import pandas as pd
 
-    Each step is one DataFrame call: on a local deployment, analysing a
-    call costs tens of milliseconds, a share of every snapshot.
-    """
-    ku, kv = _edge_key(deltas, directed)
-    per_edge = deltas.groupBy(ku.alias("ku"), kv.alias("kv")).agg(
-        F.sum("dw").alias("dw")
-    )
-    eu, ev = _edge_key(edges, directed)
-    dw = F.coalesce(per_edge.dw, F.lit(0.0))
-    return edges.join(
-        F.broadcast(per_edge), (eu == per_edge.ku) & (ev == per_edge.kv), "left"
-    ).select("sg_id", "u", "v", (edges.w + dw).alias("w"), "w0", dw.alias("dw"))
+    key = Graph(directed=directed).canonical
+    dw_of: Dict[Edge, float] = {}
+    for u, v, dw in deltas.collect():
+        dw_of[key(u, v)] = dw_of.get(key(u, v), 0.0) + dw
+    rows, steps = [], {}
+    for sg_id, u, v, w, w0 in edges.collect():
+        dw = dw_of.get(key(u, v), 0.0)
+        rows.append((sg_id, u, v, w + dw, w0))
+        ways = {(u, v): dw} if directed else {(u, v): dw, (v, u): dw}
+        steps.setdefault(sg_id, {}).update(ways)
+    touched: Touched = {}
+    for sg_id, sg_steps in steps.items():
+        if any(sg_steps.values()):
+            sg = local_subgraph([r for r in rows if r[0] == sg_id], directed)
+            touched[sg_id] = (sg_steps, UnitWeightIndex(sg))
+    # From pandas, Arrow makes a local relation; from a list of rows,
+    # Spark would re-pickle it in a Python stage on every materialisation.
+    edges_new = pd.DataFrame(rows, columns=EDGES_SCHEMA.names)
+    return edges.sparkSession.createDataFrame(edges_new, EDGES_SCHEMA), touched
 
 
 def updated_edges_df(
     edges: DataFrame, deltas: DataFrame, *, directed: bool = False
 ) -> DataFrame:
     """Apply the delta batch to the edges DataFrame (one row per edge)."""
-    return _edges_with_dw(edges, deltas, directed).drop("dw")
+    return _apply_deltas(edges, deltas, directed)[0]
 
 
 def update_dtlp_spark(
@@ -89,31 +97,22 @@ def update_dtlp_spark(
     Returns ``(edges_new, bounding_new, skeleton_new)`` — the refreshed
     dataflow state; the driver swaps these in for the next snapshot.
     """
-    edges_dw = _edges_with_dw(edges, deltas, directed)
+    edges_new, touched = _apply_deltas(edges, deltas, directed)
 
-    def refresh(edges_pdf: pd.DataFrame, paths_pdf: pd.DataFrame) -> pd.DataFrame:
+    def refresh(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         prepare_worker()
-        if paths_pdf.empty or not edges_pdf["dw"].any():
-            return paths_pdf
-        sg = local_subgraph(edges_pdf, directed)
-        dw_of = {
-            (int(u), int(v)): float(dw)
-            for u, v, dw in zip(edges_pdf["u"], edges_pdf["v"], edges_pdf["dw"])
-        }
-        shift = [
-            sum(dw_of[sg.graph.canonical(a, b)] for a, b in zip(p, p[1:]))
-            for p in map(decode_path, paths_pdf["path"])
-        ]
-        out = paths_pdf.copy()
-        out["dist"] = out["dist"] + shift
-        out["bd"] = UnitWeightIndex(sg).bd_many(out["phi"].to_numpy())
-        return out
+        for pdf in batches:
+            dist, bd = pdf["dist"].to_numpy(copy=True), pdf["bd"].to_numpy(copy=True)
+            sg_ids, phis, paths = (pdf[c].to_numpy() for c in ("sg_id", "phi", "path"))
+            for sg_id, (dw_of, uw) in touched.items():
+                mine = sg_ids == sg_id
+                bd[mine] = uw.bd_many(phis[mine])
+                dist[mine] += [
+                    sum(map(dw_of.__getitem__, zip(p, p[1:])))
+                    for p in decode_paths(paths[mine])
+                ]
+            yield pdf.assign(dist=dist, bd=bd)
 
-    bounding_new = (
-        by_subgraph(edges_dw)
-        .groupBy("sg_id")
-        .cogroup(by_subgraph(bounding).groupBy("sg_id"))
-        .applyInPandas(refresh, schema=BOUNDING_SCHEMA)
-    )
+    bounding_new = bounding.mapInPandas(refresh, schema=BOUNDING_SCHEMA)
     skeleton_new = skeleton_df_from_lbd(lbd_df_from_bounding(bounding_new))
-    return edges_dw.drop("dw"), bounding_new, skeleton_new
+    return edges_new, bounding_new, skeleton_new

@@ -88,6 +88,20 @@ class TestRelationalStepsAgainstDuckDB:
             lbd=lbd.toPandas(),
         )
 
+    def test_skeleton_one_exchange(self, built, spark):
+        """LBD and MBD share one shuffle by (u, v), with the same rows as
+        the two aggregations one after the other in DuckDB."""
+        _, _, _, bounding = built
+        materialised = bounding.localCheckpoint(eager=True)  # no build in the plan
+        skeleton = skeleton_df_from_lbd(lbd_df_from_bounding(materialised))
+        plan = skeleton._jdf.queryExecution().executedPlan().toString()
+        assert plan.count("Exchange") == 1, plan
+        assert_equivalent(
+            skeleton,
+            f"SELECT u, v, min(lbd) AS mbd FROM ({_LBD_SQL}) GROUP BY u, v",
+            bounding=bounding.toPandas(),
+        )
+
     def test_bounding_rows_cover_every_indexed_pair(self, built, spark):
         g, ref, _, bounding = built
         got_pairs = {

@@ -26,7 +26,7 @@ from repro.roadnet import random_connected_graph
 DISTRIB = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "distrib"
 
 #: Methods whose function argument Spark runs as a Python task body.
-TASK_METHODS = {"mapPartitions", "applyInPandas"}
+TASK_METHODS = {"mapPartitions", "applyInPandas", "mapInPandas"}
 
 
 def _write_zip(path, modules):
