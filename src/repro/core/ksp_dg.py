@@ -56,7 +56,8 @@ class KSPResult:
     n_partial_tasks: int = 0
     cache_hits: int = 0
     #: False when ``max_iterations`` stopped the loop before Theorem 3's
-    #: stop held: ``paths`` are then the best found so far (anytime mode)
+    #: stop held, or the join's expansion cap cut a join short: ``paths``
+    #: are then the best found so far (anytime mode)
     exact: bool = True
 
 
@@ -197,7 +198,10 @@ def filter_refine(
             segments.append(cached)
         else:
             # a join costing more than L's k-th distance cannot enter L
-            for path, dist in k_best_join(segments, k, bound=kth):
+            joined = k_best_join(segments, k, bound=kth)
+            if joined.capped:
+                exact = False
+            for path, dist in joined:
                 key = tuple(path)
                 if key not in results or dist < results[key]:
                     results[key] = dist

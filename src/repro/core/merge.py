@@ -9,10 +9,12 @@ module instead enumerates combinations best-first from a heap (the
 classic k-smallest-sums frontier over one index per segment), discarding
 non-simple concatenations — exact, and never slower asymptotically than
 re-sorting the paper's beam.  A generous expansion cap bounds the
-pathological case where almost every combination shares vertices, and
-KSP-DG passes the k-th distance found so far as ``bound``: a query that
-needs hundreds of reference paths would otherwise pop hundreds of
-non-simple combinations per join that could no longer enter its answer.
+pathological case where almost every combination shares vertices; a
+join it cut short says so (``Joined.capped``), and KSP-DG then flags
+its answer inexact.  KSP-DG also passes the k-th distance found so far
+as ``bound``: a query that needs hundreds of reference paths would
+otherwise pop hundreds of non-simple combinations per join that could
+no longer enter its answer.
 """
 from __future__ import annotations
 
@@ -40,25 +42,36 @@ def is_simple(path: Path) -> bool:
     return len(set(path)) == len(path)
 
 
+class Joined(List[Scored]):
+    """:func:`k_best_join`'s paths, cheapest first.
+
+    ``capped`` is True when the expansion cap stopped the join with
+    fewer than ``k`` paths while combinations within ``bound`` were
+    still unexamined, so cheaper simple paths may be missing.
+    """
+
+    capped: bool = False
+
+
 def k_best_join(
     segments: Sequence[Sequence[Scored]],
     k: int,
     *,
     max_expansions: int | None = None,
     bound: float = math.inf,
-) -> List[Scored]:
+) -> Joined:
     """Up to ``k`` cheapest simple concatenations, cheapest first.
 
     ``segments[i]`` must be sorted by distance ascending and each
     segment's paths must start where the previous segment's paths end.
     Returns fewer than ``k`` results if the simple-path combinations run
     out, the next combination costs more than ``bound``, or the
-    expansion cap is hit.
+    expansion cap is hit (then ``capped`` is set).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not segments or any(len(s) == 0 for s in segments):
-        return []
+        return Joined()
     cap = max_expansions if max_expansions is not None else max(10_000, 500 * k)
 
     def cost(idx: Tuple[int, ...]) -> float:
@@ -67,7 +80,7 @@ def k_best_join(
     start = tuple(0 for _ in segments)
     heap: List[Tuple[float, Tuple[int, ...]]] = [(cost(start), start)]
     seen = {start}
-    out: List[Scored] = []
+    out = Joined()
     expansions = 0
     while heap and len(out) < k and expansions < cap and heap[0][0] <= bound:
         expansions += 1
@@ -81,4 +94,6 @@ def k_best_join(
                 if nxt not in seen:
                     seen.add(nxt)
                     heapq.heappush(heap, (cost(nxt), nxt))
+    # short of k with a combination within the bound left: the cap hit
+    out.capped = len(out) < k and bool(heap) and heap[0][0] <= bound
     return out

@@ -17,8 +17,10 @@ All schemas are explicit so Catalyst plans don't depend on inference.
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
+import socket
 import sys
 import types
 import zipimport
@@ -132,34 +134,49 @@ def by_subgraph(df: DataFrame) -> DataFrame:
     This sizes the build's per-subgraph ``applyInPandas``, the only
     stage grouped by subgraph.  Maintenance's map-only refresh keeps the
     partitions of the bounding rows the build emitted, so it runs in the
-    same number of tasks.  A Python task still costs more than the
-    per-subgraph work: on a 4-vCPU ``local[2]`` deployment each task
-    beyond the first wave added about 25 ms to a trivial job in reused
-    workers (after :func:`prepare_worker`; 130 ms without it), and a new
-    worker's first task re-reads ``pyspark.zip`` (about 0.2 s).  So such
-    a stage should run in one wave of ``defaultParallelism`` tasks.  A
-    ``groupBy("sg_id")`` reuses this partitioning without another
-    shuffle, and AQE does not coalesce an explicit partition count, so
-    no session setting is needed.
+    same number of tasks.  A wave of Python tasks still costs more than
+    the per-subgraph work: on a 4-vCPU ``local[2]`` deployment each wave
+    beyond the first added 8-10 ms to a trivial job in reused workers
+    (after :func:`prepare_worker`; 47 ms with the delayed-ACK stall it
+    removes, 130 ms before that), against a few ms of per-subgraph work,
+    and a new worker's first task re-reads ``pyspark.zip`` (about
+    0.2 s).  So such a stage should run in one wave of
+    ``defaultParallelism`` tasks.  A ``groupBy("sg_id")`` reuses this
+    partitioning without another shuffle, and AQE does not coalesce an
+    explicit partition count, so no session setting is needed.
     """
     return df.repartition(df.sparkSession.sparkContext.defaultParallelism, "sg_id")
 
 
 def prepare_worker(cache: Optional[Dict[str, object]] = None) -> None:
-    """Make this Python worker's zip importers re-read only changed archives.
+    """Per-task set-up of this Python worker; every task body of this
+    package calls it first.
 
-    PySpark calls ``importlib.invalidate_caches()`` before every task,
-    and under CPython 3.11 each ``zipimporter`` then re-parses its
-    archive's central directory: the worker's 16 importers over
-    ``pyspark.zip`` cost about 0.2 s per task, in a reused worker too.
-    Every task body of this package calls this first.  It gives each
-    zip importer in ``cache`` (default ``sys.path_importer_cache``) an
-    ``invalidate_caches`` that re-reads only when the archive's
-    ``(st_mtime_ns, st_size)`` differs from the one seen at patching,
-    right after PySpark's re-read for this task, or cannot be stat'ed;
-    later tasks of the same worker so skip the re-read, while the first
-    task of a new worker still pays it.  A zip added later
-    (``sc.addPyFile``) is a new path with a fresh importer.
+    * **Zip importers re-read only changed archives.**  PySpark calls
+      ``importlib.invalidate_caches()`` before every task, and under
+      CPython 3.11 each ``zipimporter`` then re-parses its archive's
+      central directory: the worker's 16 importers over ``pyspark.zip``
+      cost about 0.2 s per task, in a reused worker too.  Each zip
+      importer in ``cache`` (default ``sys.path_importer_cache``) gets an
+      ``invalidate_caches`` that re-reads only when the archive's
+      ``(st_mtime_ns, st_size)`` differs from the one seen at patching,
+      right after PySpark's re-read for this task, or cannot be stat'ed;
+      later tasks of the same worker so skip the re-read, while the
+      first task of a new worker still pays it.  A zip added later
+      (``sc.addPyFile``) is a new path with a fresh importer.
+    * **The next task's input is acknowledged at once.**  Sending a
+      task's results puts Linux TCP into delayed-ACK mode on the
+      worker's socket to the JVM.  The JVM writes the next task's input
+      in pieces and Nagle's algorithm holds a later piece until the
+      first is acknowledged, so every task in a reused worker waited
+      about 40 ms for the delayed-ACK timer before its body ran.
+      ``TCP_QUICKACK`` ends the mode (and sends an ACK that is due),
+      but only until the worker sends again: set when a task starts, it
+      is undone by the task's own results.  It has to be set between a
+      task's last bytes and the next task's input, which is where a
+      reused worker runs PySpark's ``gc.collect()``.  So this adds, once
+      per process, a ``gc.callbacks`` hook that sets it
+      (:func:`_quickack_tcp_sockets`) after every full collection.
     """
     finders = sys.path_importer_cache if cache is None else cache
     for finder in list(finders.values()):
@@ -168,6 +185,48 @@ def prepare_worker(cache: Optional[Dict[str, object]] = None) -> None:
         ):
             finder._archive_stat = _archive_stat(finder.archive)
             finder.invalidate_caches = types.MethodType(_reread_if_changed, finder)
+    if _quickack_after_full_gc not in gc.callbacks:
+        gc.callbacks.append(_quickack_after_full_gc)
+
+
+def _quickack_after_full_gc(phase: str, info: Dict[str, int]) -> None:
+    """``gc.callbacks`` hook: re-arm quick ACKs after a full collection."""
+    if phase == "stop" and info["generation"] == 2:  # the oldest generation
+        _quickack_tcp_sockets()
+
+
+def _quickack_tcp_sockets() -> None:
+    """Set ``TCP_QUICKACK`` on each TCP socket this process holds.
+
+    A no-op where the option or ``/proc/self/fd`` does not exist (not
+    Linux) and for a worker that talks to the JVM over a Unix domain
+    socket (``spark.python.unix.domain.socket.enabled``).  An fd that
+    is not a TCP socket, or closed meanwhile, is skipped.  The scan
+    costs about 40 us for a worker's handful of fds, so it keeps no
+    list of sockets that could go stale.
+    """
+    quickack = getattr(socket, "TCP_QUICKACK", None)
+    if quickack is None:
+        return
+    try:
+        fds = os.listdir("/proc/self/fd")
+    except OSError:
+        return
+    for fd in fds:
+        try:
+            sock = socket.socket(fileno=int(fd))
+        except OSError:  # closed since the listing, or not a socket
+            continue
+        try:
+            if (
+                sock.family in (socket.AF_INET, socket.AF_INET6)
+                and sock.type == socket.SOCK_STREAM
+            ):
+                sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+        except OSError:  # its owner shut it down meanwhile
+            pass
+        finally:
+            sock.detach()  # the fd stays open for its owner
 
 
 def _archive_stat(path: str) -> Optional[Tuple[int, int]]:

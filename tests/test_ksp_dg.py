@@ -5,6 +5,7 @@ filter-and-refine loop returns exactly the k shortest loopless paths,
 for boundary and non-boundary endpoints, before and after weight
 changes, across graph shapes and k values.
 """
+import functools
 import importlib
 import random
 
@@ -204,6 +205,29 @@ class TestEdgeCases:
         capped = ksp_dg(dtlp, 0, 63, 3, max_iterations=1)
         assert capped.n_iterations == 1 and capped.exact is False
         assert ksp_dg(dtlp, 0, 63, 3, max_iterations=full.n_iterations).exact
+
+    def test_expansion_cap_flags_inexact(self, monkeypatch):
+        """A join the merge's expansion cap cut short before it had k
+        paths says so in the answer; the same query uncapped is exact."""
+        mod = importlib.import_module("repro.core.ksp_dg")
+        g = grid_road_network(8, 8, seed=3)
+        apply_deltas(g, snapshot_deltas(g, alpha=0.5, tau=0.5, seed=4))
+        dtlp = DTLP.build(g, z=12, xi=4)
+        join = mod.k_best_join
+        sizes = []
+
+        def spy(segments, k, **kwargs):
+            out = join(segments, k, **kwargs)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(mod, "k_best_join", spy)
+        full = ksp_dg(dtlp, 0, 63, 3)
+        assert full.exact is True and max(sizes) > 1  # a join popped twice or more
+        capped_join = functools.partial(join, max_expansions=1)
+        monkeypatch.setattr(mod, "k_best_join", capped_join)
+        capped = ksp_dg(dtlp, 0, 63, 3)
+        assert capped.exact is False
 
     def test_join_bound_changes_no_answer(self, monkeypatch):
         """The join gets L's k-th distance as its bound to save work

@@ -95,6 +95,20 @@ class TestKBestJoin:
         got = k_best_join(segments, 5, max_expansions=1)
         assert len(got) <= 1
 
+    def test_cap_flags_a_cut_join(self):
+        segments = _random_segments(5, n_segments=4, n_paths=6)
+        assert k_best_join(segments, 5, max_expansions=1).capped
+        full = k_best_join(segments, 5)
+        assert len(full) == 5 and not full.capped
+
+    def test_cap_not_flagged_when_other_stops_hit(self):
+        segments = [[([1, 2], 1.0), ([1, 5, 2], 2.0)], [([2, 3], 2.0)]]
+        # k paths found, the bound reached, the combinations exhausted
+        assert not k_best_join(segments, 1, max_expansions=1).capped
+        assert not k_best_join(segments, 3, max_expansions=1, bound=2.5).capped
+        assert not k_best_join(segments, 3, max_expansions=2).capped
+        assert not k_best_join([[([1, 2], 1.0)], []], 3, max_expansions=1).capped
+
     @pytest.mark.parametrize("seed", range(10))
     def test_bound_drops_only_costlier_combinations(self, seed):
         segments = _random_segments(seed, n_paths=5)

@@ -326,6 +326,19 @@ class TestSubgraphParallelRefine:
         assert [r.paths for r in after] != [r.paths for r in before]
         assert [round_dists(r.paths) for r in after] == _nx_dists(g, batch, 2)
 
+    def test_matches_driver_many_iterations(self, spark, built, queries):
+        """Queries of 24 and 54 iterations after an α = τ = 0.6 update:
+        one refine job per iteration with uncached pairs, and the pooled
+        segments still give the driver's result in every field."""
+        g = built[0].copy()
+        dtlp = DTLP.build(g, z=18, xi=5)
+        dtlp.update(snapshot_deltas(g, alpha=0.6, tau=0.6, seed=70))
+        batch = queries[:2]
+        got = [ksp_dg_spark_refine(spark, dtlp, s, t, 2) for s, t in batch]
+        assert min(r.n_iterations for r in got) >= 20
+        assert got == [ksp_dg(dtlp, s, t, 2) for s, t in batch]
+        assert [round_dists(r.paths) for r in got] == _nx_dists(g, batch, 2)
+
     def test_shares_query_broadcast(self, spark, built, queries):
         """Refine runs on the query snapshot's broadcast, releases it, and
         the next request on the unchanged DTLP reuses it."""

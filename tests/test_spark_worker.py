@@ -1,15 +1,20 @@
-"""The worker-side import-cache helper ``spark_graph.prepare_worker``.
+"""The worker-side per-task helper ``spark_graph.prepare_worker``.
 
 PySpark calls ``importlib.invalidate_caches()`` before every Python
 task; under CPython 3.11 that re-reads the directory of every zip on
 the worker's path.  The helper makes a zip importer re-read only an
-archive that changed.  Nothing here assumes that two Spark jobs share
-a worker process: Spark may start a fresh one for any task.
+archive that changed.  It also has each full garbage collection (one
+runs between the tasks of a reused worker) set ``TCP_QUICKACK`` on the
+worker's TCP sockets, so that the next task's input is not held up by a
+delayed ACK.  Nothing here assumes that two Spark jobs share a worker
+process: Spark may start a fresh one for any task.
 """
 import ast
+import gc
 import importlib.util
 import os
 import pathlib
+import socket
 import subprocess
 import sys
 import zipfile
@@ -20,6 +25,7 @@ import pytest
 import repro
 from repro.core import DTLP
 from repro.distrib import process_batch_spark
+from repro.distrib import spark_graph
 from repro.distrib.spark_graph import prepare_worker
 from repro.roadnet import random_connected_graph
 
@@ -105,6 +111,112 @@ class TestPrepareWorker:
         )
 
 
+QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+linux_only = pytest.mark.skipif(
+    QUICKACK is None or not os.path.isdir("/proc/self/fd"),
+    reason="TCP_QUICKACK and /proc/self/fd are Linux's",
+)
+
+
+def _quickack(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, QUICKACK)
+
+
+def _is_tcp(sock):
+    return (
+        sock.family in (socket.AF_INET, socket.AF_INET6)
+        and sock.type == socket.SOCK_STREAM
+    )
+
+
+@pytest.fixture
+def tcp_pair():
+    """Both ends of a loopback TCP connection, put in delayed-ACK mode."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client = socket.create_connection(server.getsockname())
+        peer, _ = server.accept()
+    with client, peer:
+        for end in (client, peer):
+            end.setsockopt(socket.IPPROTO_TCP, QUICKACK, 0)
+        assert [_quickack(client), _quickack(peer)] == [0, 0]
+        yield client, peer
+        # the helper left both ends open and connected
+        client.sendall(b"x")
+        assert peer.recv(1) == b"x"
+
+
+@pytest.fixture(autouse=True)
+def gc_hook():
+    """The hook ``prepare_worker`` adds, taken out of this test process
+    after each test."""
+    yield spark_graph._quickack_after_full_gc
+    while spark_graph._quickack_after_full_gc in gc.callbacks:
+        gc.callbacks.remove(spark_graph._quickack_after_full_gc)
+
+
+@linux_only
+class TestQuickAck:
+    def test_tcp_pair_rearmed(self, tcp_pair):
+        spark_graph._quickack_tcp_sockets()
+        assert [_quickack(end) for end in tcp_pair] == [1, 1]
+
+    def test_full_collection_rearms_after_prepare(self, tcp_pair, gc_hook):
+        prepare_worker({})
+        prepare_worker({})
+        assert gc.callbacks.count(gc_hook) == 1
+        gc.collect(1)  # a young collection does not scan
+        assert [_quickack(end) for end in tcp_pair] == [0, 0]
+        gc.collect()
+        assert [_quickack(end) for end in tcp_pair] == [1, 1]
+
+    def test_other_fds_untouched(self, tcp_pair, monkeypatch, tmp_path):
+        """Only TCP sockets get the option: not a Unix socket pair (a
+        session with ``spark.python.unix.domain.socket.enabled``), not a
+        file; and each stays open."""
+        touched = []
+        real = socket.socket.setsockopt
+
+        def spy(sock, *args):
+            touched.append(sock.fileno())
+            return real(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "setsockopt", spy)
+        a, b = socket.socketpair()
+        with a, b, open(tmp_path / "file", "w") as f:
+            spark_graph._quickack_tcp_sockets()
+            assert not {a.fileno(), b.fileno(), f.fileno()} & set(touched)
+            a.sendall(b"y")
+            assert b.recv(1) == b"y"
+        assert {end.fileno() for end in tcp_pair} <= set(touched)
+
+    def test_fd_closed_after_listing(self, tcp_pair, monkeypatch):
+        doomed = socket.create_server(("127.0.0.1", 0))
+        real = os.listdir
+
+        def listdir(path):
+            names = real(path)
+            assert str(doomed.fileno()) in names
+            doomed.close()
+            return names
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        spark_graph._quickack_tcp_sockets()
+        assert [_quickack(end) for end in tcp_pair] == [1, 1]
+
+    def test_no_option_no_op(self, tcp_pair, monkeypatch):
+        monkeypatch.delattr(socket, "TCP_QUICKACK")
+        spark_graph._quickack_tcp_sockets()
+        assert [_quickack(end) for end in tcp_pair] == [0, 0]
+
+    def test_no_fd_listing_no_op(self, tcp_pair, monkeypatch):
+        def missing(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "listdir", missing)
+        spark_graph._quickack_tcp_sockets()
+        assert [_quickack(end) for end in tcp_pair] == [0, 0]
+
+
 def test_package_import_leaves_pandas_unloaded():
     """Every task body loads ``repro.distrib``; a new worker that runs only
     RDD tasks (the query tasks) must not pay for loading pandas."""
@@ -186,6 +298,36 @@ class TestOnWorkers:
         for zips, calls in sc.parallelize(range(2), 2).mapPartitions(fn).collect():
             assert any(z.endswith("pyspark.zip") for z in zips)
             assert calls == []
+
+    @linux_only
+    def test_full_collection_rearms_worker_sockets(self, spark):
+        """In a task that called the helper, a full collection (as PySpark
+        runs between tasks) sets ``TCP_QUICKACK`` on every TCP socket of
+        the worker, its socket to the JVM among them."""
+
+        def fn(rows):
+            prepare_worker()
+            tcp = []
+            try:
+                for fd in os.listdir("/proc/self/fd"):
+                    try:
+                        sock = socket.socket(fileno=int(fd))
+                    except OSError:
+                        continue
+                    if _is_tcp(sock):
+                        sock.setsockopt(socket.IPPROTO_TCP, QUICKACK, 0)
+                        tcp.append(sock)
+                    else:
+                        sock.detach()
+                gc.collect()
+                yield [_quickack(sock) for sock in tcp]
+            finally:
+                for sock in tcp:
+                    sock.detach()
+
+        sc = spark.sparkContext
+        for values in sc.parallelize(range(2), 2).mapPartitions(fn).collect():
+            assert values and set(values) == {1}
 
     def test_added_py_file_imports_after_request(self, spark, tmp_path):
         """A zip added with ``addPyFile`` after a library request (whose
