@@ -12,10 +12,10 @@ properties the paper's comparison exercises (Figures 35-39).
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.dijkstra import NeighborsFn, astar, reverse_spt
-from ..core.yen import yen_iter
+from ..core.dijkstra import NeighborsFn, reverse_spt
+from ..core.yen import yen_ksp
 
 Path = List[int]
 Scored = Tuple[Path, float]
@@ -35,46 +35,8 @@ def find_ksp(
     graphs (the SPT must measure distance *to* the target); undirected
     graphs reuse ``neighbors_fn``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     rev = directed_reverse_fn if directed_reverse_fn is not None else neighbors_fn
-    dist_to_t: Dict[int, float] = reverse_spt(rev, target)
-    if source not in dist_to_t:
-        return []
-    inf = float("inf")
-
-    def h(v: int) -> float:
-        return dist_to_t.get(v, inf)
-
-    def spur_fn(
-        nf: NeighborsFn,
-        spur: int,
-        tgt: int,
-        *,
-        banned_vertices: FrozenSet[int] = frozenset(),
-        banned_edges: FrozenSet[Tuple[int, int]] = frozenset(),
-    ):
-        # The SPT heuristic ignores bans, so it can only *under*-estimate
-        # the banned-graph distance — still admissible and consistent,
-        # hence the A* spur result stays exact.
-        return astar(
-            nf,
-            spur,
-            tgt,
-            h,
-            banned_vertices=banned_vertices,
-            banned_edges=banned_edges,
-        )
-
-    out: List[Scored] = []
-    for path, dist in yen_iter(
-        neighbors_fn,
-        source,
-        target,
-        directed=directed_reverse_fn is not None,
-        spur_fn=spur_fn,
-    ):
-        out.append((path, dist))
-        if len(out) == k:
-            break
-    return out
+    return yen_ksp(
+        neighbors_fn, source, target, k,
+        directed=directed_reverse_fn is not None, h=reverse_spt(rev, target),
+    )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..roadnet.graph import Subgraph, path_distance
-from .dijkstra import astar, dijkstra
+from .dijkstra import dijkstra
 from .yen import yen_iter
 
 _EPS = 1e-9
@@ -173,35 +173,12 @@ def bounding_paths(
     """
     if xi < 1:
         raise ValueError(f"xi must be >= 1, got {xi}")
-    base_neighbors = subgraph.init_neighbors
-    if banned:
-        blocked = frozenset(banned) - {a, b}
-
-        def neighbors_fn(u, _nf=base_neighbors, _blocked=blocked):
-            for v, w in _nf(u):
-                if v not in _blocked:
-                    yield v, w
-
-    else:
-        neighbors_fn = base_neighbors
-    spur_fn = None
-    if h is not None:
-        inf = float("inf")
-
-        def heuristic(v: int) -> float:
-            return h.get(v, inf)
-
-        def spur_fn(nf, spur, tgt, *, banned_vertices=frozenset(), banned_edges=frozenset()):
-            return astar(
-                nf, spur, tgt, heuristic,
-                banned_vertices=banned_vertices, banned_edges=banned_edges,
-            )
-
     out: List[BoundingPath] = []
     phis: List[int] = []  # distinct phi classes, ascending
     capped = False
     for path, phi in yen_iter(
-        neighbors_fn, a, b, directed=directed, spur_fn=spur_fn
+        subgraph.init_neighbors, a, b, directed=directed, h=h,
+        banned=frozenset(banned) - {a, b},
     ):
         phi_i = int(round(phi))
         if not phis or phi_i != phis[-1]:

@@ -1,9 +1,9 @@
 """Single-source shortest paths: Dijkstra and A* with removable elements.
 
 These are the primitives underneath everything in the paper: Yen's
-algorithm (reference paths and per-subgraph partial KSPs), bounding-path
-computation, the FindKSP baseline (A* spur searches) and the CANDS
-baseline (boundary-pair indexes).
+spur searches (reference paths, per-subgraph partial KSPs, bounding
+paths and the FindKSP baseline; A* wherever a distance-to-target map is
+at hand) and the CANDS baseline (boundary-pair indexes).
 
 All functions take a ``neighbors_fn(u) -> iterable[(v, weight)]`` so the
 same code runs on a full :class:`~repro.roadnet.graph.Graph`, a
@@ -15,7 +15,9 @@ support Yen's spur searches; banned edges are directed ``(u, v)`` pairs
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple,
+)
 
 NeighborsFn = Callable[[int], Iterable[Tuple[int, float]]]
 
@@ -65,16 +67,18 @@ def astar(
     neighbors_fn: NeighborsFn,
     source: int,
     target: int,
-    h: Callable[[int], float],
+    h: Mapping[int, float],
     *,
     banned_vertices: FrozenSet[int] = _EMPTY,
     banned_edges: FrozenSet[Tuple[int, int]] = _EMPTY,
 ) -> Optional[Tuple[List[int], float]]:
-    """A* search with heuristic ``h`` (must be consistent for exactness).
+    """A* search guided by ``h``, a distance-to-``target`` map.
 
-    The FindKSP baseline uses the reverse-SPT distance-to-target as
-    ``h``, making spur searches goal-directed.  Returns ``(path, dist)``
-    or ``None`` if ``target`` is unreachable.
+    ``h`` must be consistent for exactness; a vertex missing from it
+    cannot reach ``target`` and is never queued.  Yen's spur searches
+    pass the reverse-SPT distances (:func:`reverse_spt`), which ignore
+    bans and so only under-estimate.  Returns ``(path, dist)`` or
+    ``None`` if ``target`` is unreachable.
     """
     if source in banned_vertices:
         return None
@@ -82,7 +86,7 @@ def astar(
     gscore: Dict[int, float] = {source: 0.0}
     pred: Dict[int, int] = {}
     done: Set[int] = set()
-    heap: List[Tuple[float, int]] = [(h(source), source)]
+    heap: List[Tuple[float, int]] = [(h.get(source, inf), source)]
     while heap:
         f, u = heapq.heappop(heap)
         if u in done:
@@ -100,7 +104,7 @@ def astar(
             if ng < gscore.get(v, inf):
                 gscore[v] = ng
                 pred[v] = u
-                hv = h(v)
+                hv = h.get(v, inf)
                 if hv < inf:
                     heapq.heappush(heap, (ng + hv, v))
     return None

@@ -55,9 +55,5 @@ class EPIndex:
         """Total elements across all lists — the paper's storage measure."""
         return sum(len(v) for v in self._by_edge.values())
 
-    @property
-    def n_edges_indexed(self) -> int:
-        return len(self._by_edge)
-
     def items(self) -> Dict[Edge, List[BoundingPath]]:
         return self._by_edge

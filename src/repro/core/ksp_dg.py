@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..roadnet.graph import Subgraph
-from .dijkstra import astar, reverse_spt
+from .dijkstra import reverse_spt
 from .dtlp import DTLP
 from .merge import k_best_join
 from .skeleton import attach_query_vertices
@@ -65,26 +65,15 @@ def reference_paths(skeleton, s: int, t: int):
     """Lazy i-th-shortest reference paths in the (augmented) skeleton.
 
     Yen's algorithm with A* spur searches guided by the reverse-SPT
-    distance-to-``t`` heuristic (computed on the reversed skeleton when
+    distance-to-``t`` map (computed on the reversed skeleton when
     directed; consistent, hence results identical to plain Yen) — the
     skeleton is dense (every boundary pair of a subgraph is an edge), so
     goal-directed spur searches cut the dominant per-iteration cost of
     the filter step.
     """
-    dist_to_t = reverse_spt(skeleton.reversed().neighbors, t)
-    inf = float("inf")
-
-    def h(v: int) -> float:
-        return dist_to_t.get(v, inf)
-
-    def spur_fn(nf, spur, tgt, *, banned_vertices=frozenset(), banned_edges=frozenset()):
-        return astar(
-            nf, spur, tgt, h,
-            banned_vertices=banned_vertices, banned_edges=banned_edges,
-        )
-
     return yen_iter(
-        skeleton.neighbors, s, t, directed=skeleton.directed, spur_fn=spur_fn
+        skeleton.neighbors, s, t, directed=skeleton.directed,
+        h=reverse_spt(skeleton.reversed().neighbors, t),
     )
 
 
@@ -128,14 +117,9 @@ def segment_ksp(
     sg: Subgraph, u: int, v: int, k: int, banned: FrozenSet[int]
 ) -> List[Scored]:
     """Yen's k shortest ``u -> v`` paths in ``sg`` avoiding ``banned``."""
-    base = sg.neighbors
-
-    def neighbors(x: int):
-        for y, w in base(x):
-            if y not in banned:
-                yield y, w
-
-    return yen_ksp(neighbors, u, v, k, directed=sg.graph.directed)
+    return yen_ksp(
+        sg.neighbors, u, v, k, directed=sg.graph.directed, banned=banned
+    )
 
 
 #: ``fetch(missing_pairs, (s, t))`` -> the k best segments of each pair,

@@ -1,30 +1,34 @@
 """Yen's algorithm [27]: k shortest loopless paths.
 
-Used in three places, exactly as in the paper:
+The one k-shortest-path search of the library, used in four places:
 
 * reference paths — the i-th shortest path in the skeleton graph
   ``G_lambda`` (Algorithm 3 needs them lazily, one per iteration, so
   :func:`yen_iter` is a generator);
 * partial KSPs between adjacent boundary vertices inside one subgraph
   (Algorithm 4, line 6);
-* the centralized Yen baseline on the full graph (Section 6.5).
+* bounding paths, ranked by vfrag count under the initial weights
+  (Section 3.4);
+* the FindKSP baseline [21] and the centralized Yen baseline on the
+  full graph (Section 6.5).
 
 The implementation is the classic deviation paradigm: each accepted path
 spawns spur searches from every prefix, with the prefix's vertices and
-the deviation edges of previously accepted paths banned.  A ``spur_fn``
-hook lets the FindKSP baseline substitute A* spur searches while reusing
-the identical deviation bookkeeping.
+the deviation edges of previously accepted paths banned.  Callers pass
+data, not code: ``h``, a distance-to-target map, turns every spur search
+into a goal-directed A* (same paths, fewer expansions), and ``banned``
+lists vertices no path may use.
 """
 from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
-from .dijkstra import NeighborsFn, shortest_path
+from ..roadnet.graph import path_distance
+from .dijkstra import NeighborsFn, astar, shortest_path
 
 Path = List[int]
-SpurFn = Callable[..., Optional[Tuple[Path, float]]]
 
 
 def yen_iter(
@@ -33,17 +37,21 @@ def yen_iter(
     target: int,
     *,
     directed: bool = False,
-    spur_fn: Optional[SpurFn] = None,
+    h: Optional[Mapping[int, float]] = None,
+    banned: FrozenSet[int] = frozenset(),
 ) -> Iterator[Tuple[Path, float]]:
     """Yield loopless ``source -> target`` paths in non-decreasing distance.
 
-    Stops when the path space is exhausted.  ``spur_fn`` defaults to
-    Dijkstra-based :func:`~repro.core.dijkstra.shortest_path`; it is
-    called as ``spur_fn(neighbors_fn, spur, target, banned_vertices=...,
-    banned_edges=...)``.
+    Stops when the path space is exhausted.  No path visits a vertex of
+    ``banned``, which may not hold ``source`` or ``target``
+    (``ValueError``).  ``h``, if given, is a consistent distance-to-
+    ``target`` map (e.g. :func:`~repro.core.dijkstra.reverse_spt`); spur
+    searches then run as A* and yield the same distances.  The first
+    path is always a Dijkstra search, so ties break the same either way.
     """
-    spur_search: SpurFn = spur_fn if spur_fn is not None else shortest_path
-    first = shortest_path(neighbors_fn, source, target)
+    if source in banned or target in banned:
+        raise ValueError(f"an endpoint of ({source}, {target}) is banned")
+    first = shortest_path(neighbors_fn, source, target, banned_vertices=banned)
     if first is None:
         return
     accepted: List[Tuple[Path, float]] = []
@@ -68,14 +76,19 @@ def yen_iter(
                     banned_edges.add(e)
                     if not directed:
                         banned_edges.add((e[1], e[0]))
-            banned_vertices = frozenset(root[:-1])
-            res = spur_search(
-                neighbors_fn,
-                spur,
-                target,
-                banned_vertices=banned_vertices,
-                banned_edges=frozenset(banned_edges),
-            )
+            banned_vertices = banned.union(root[:-1])
+            if h is None:
+                res = shortest_path(
+                    neighbors_fn, spur, target,
+                    banned_vertices=banned_vertices,
+                    banned_edges=frozenset(banned_edges),
+                )
+            else:
+                res = astar(
+                    neighbors_fn, spur, target, h,
+                    banned_vertices=banned_vertices,
+                    banned_edges=frozenset(banned_edges),
+                )
             if res is None:
                 continue
             spur_path, spur_dist = res
@@ -84,23 +97,11 @@ def yen_iter(
             if key in seen:
                 continue
             seen.add(key)
-            root_dist = _prefix_distance(neighbors_fn, root)
+            root_dist = path_distance(neighbors_fn, root)
             heapq.heappush(candidates, (root_dist + spur_dist, next(tie), total))
         if not candidates:
             return
         dist, _, path = heapq.heappop(candidates)
-
-
-def _prefix_distance(neighbors_fn: NeighborsFn, root: Path) -> float:
-    total = 0.0
-    for a, b in zip(root, root[1:]):
-        for v, w in neighbors_fn(a):
-            if v == b:
-                total += w
-                break
-        else:  # pragma: no cover - indicates an internal inconsistency
-            raise KeyError(f"edge ({a}, {b}) missing while costing prefix")
-    return total
 
 
 def yen_ksp(
@@ -110,14 +111,15 @@ def yen_ksp(
     k: int,
     *,
     directed: bool = False,
-    spur_fn: Optional[SpurFn] = None,
+    h: Optional[Mapping[int, float]] = None,
+    banned: FrozenSet[int] = frozenset(),
 ) -> List[Tuple[Path, float]]:
     """The k shortest loopless paths (fewer if the graph has fewer)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     out: List[Tuple[Path, float]] = []
     for path, dist in yen_iter(
-        neighbors_fn, source, target, directed=directed, spur_fn=spur_fn
+        neighbors_fn, source, target, directed=directed, h=h, banned=banned
     ):
         out.append((path, dist))
         if len(out) == k:

@@ -174,11 +174,6 @@ class Subgraph:
         for v in self._adj.get(u, ()):
             yield v, g.init_weight(u, v)
 
-    def total_vfrags(self) -> int:
-        """Total number of vfrags over this subgraph's edges."""
-        g = self.graph
-        return sum(g.init_weight(u, v) for u, v in self.edge_list)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Subgraph(id={self.sg_id}, |V|={self.n_vertices}, |E|={self.n_edges})"
 

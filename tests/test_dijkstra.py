@@ -85,14 +85,14 @@ def test_early_exit_matches_full_run():
 def test_astar_with_spt_heuristic_is_exact(seed):
     g = random_connected_graph(50, seed=seed)
     h_map = reverse_spt(g.neighbors, 45)
-    res = astar(g.neighbors, 2, 45, lambda v: h_map.get(v, float("inf")))
+    res = astar(g.neighbors, 2, 45, h_map)
     expect = shortest_path(g.neighbors, 2, 45)
     assert res[1] == pytest.approx(expect[1])
 
 
 def test_astar_zero_heuristic_equals_dijkstra():
     g = random_connected_graph(40, seed=3)
-    res = astar(g.neighbors, 0, 33, lambda v: 0.0)
+    res = astar(g.neighbors, 0, 33, dict.fromkeys(g.vertices, 0.0))
     expect = shortest_path(g.neighbors, 0, 33)
     assert res[1] == pytest.approx(expect[1])
 
@@ -103,12 +103,13 @@ def test_astar_unreachable_returns_none():
     g = Graph()
     g.add_edge(0, 1, 1)
     g.add_edge(2, 3, 1)
-    assert astar(g.neighbors, 0, 3, lambda v: 0.0) is None
+    assert astar(g.neighbors, 0, 3, dict.fromkeys(g.vertices, 0.0)) is None
 
 
 def test_astar_banned_source_returns_none():
     g = random_connected_graph(10, seed=4)
-    assert astar(g.neighbors, 0, 5, lambda v: 0.0, banned_vertices=frozenset({0})) is None
+    zero = dict.fromkeys(g.vertices, 0.0)
+    assert astar(g.neighbors, 0, 5, zero, banned_vertices=frozenset({0})) is None
 
 
 def test_reverse_spt_covers_component():

@@ -124,10 +124,6 @@ class TestSubgraph:
         sg = Subgraph(tri, 0, [(0, 1), (1, 2)])
         assert 2 not in dict(sg.neighbors(0))  # (0,2) not in the view
 
-    def test_total_vfrags(self, tri):
-        sg = Subgraph(tri, 0, [(0, 1), (1, 2)])
-        assert sg.total_vfrags() == 3 + 4
-
     def test_init_neighbors(self, tri):
         sg = Subgraph(tri, 1, [(0, 2)])
         assert dict(sg.init_neighbors(0)) == {2: 10}

@@ -113,6 +113,29 @@ class TestRecordedDefects:
         dtlp = DTLP.build(g, z=35, xi=12)
         _check_query(g, dtlp, s, t, 2)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "ROADMAP item 4 (open): the missed second path "
+            "[354, 353, 352, 332, 312, 292, 293, 313, 314, 334, 333] lies "
+            "wholly in subgraph 12 and meets one boundary vertex, 312; both "
+            "kept partials of (354, 312) and of (312, 333) pass through "
+            "334/314/313/293/292, so every join is non-simple"
+        ),
+    )
+    def test_all_joins_non_simple(self):
+        # rush-hour seed 315 returns 9.22 and 83.22, flagged exact; the
+        # oracle's second path is 62.22
+        g = grid_road_network(20, 20, seed=7)
+        rng_seed = random.Random(315).randrange(2**31)
+        apply_deltas(g, snapshot_deltas(g, alpha=0.35, tau=0.30, seed=rng_seed))
+        dtlp = DTLP.build(g, z=35, xi=12)
+        res = ksp_dg(dtlp.query_snapshot(), 354, 333, 2, max_iterations=1000)
+        assert res.exact
+        exp = [round(d, 6) for d in nx_ksp_dists(to_nx(g), 354, 333, 2)]
+        assert round_dists(res.paths) == exp
+
 
 class TestEndpointKinds:
     @pytest.fixture(scope="class")

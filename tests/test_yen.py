@@ -1,10 +1,11 @@
 """Tests for Yen's k shortest loopless paths against networkx."""
+import random
 from itertools import islice
 
 import networkx as nx
 import pytest
 
-from repro.core import yen_iter, yen_ksp
+from repro.core import reverse_spt, yen_iter, yen_ksp
 from repro.roadnet import Graph, path_distance, random_connected_graph
 
 from ._utils import nx_ksp_dists, round_dists, to_nx
@@ -109,3 +110,61 @@ def test_dynamic_weights_reflected():
     G = to_nx(g)
     assert after == [round(d, 6) for d in nx_ksp_dists(G, 0, 25, 3)]
     assert before != after
+
+
+def _without(neighbors_fn, banned):
+    """``neighbors_fn`` with every edge into ``banned`` dropped."""
+
+    def neighbors(u):
+        return [(v, w) for v, w in neighbors_fn(u) if v not in banned]
+
+    return neighbors
+
+
+def _reversed(g):
+    rev = {}
+    for u in g.vertices:
+        for v, w in g.neighbors(u):
+            rev.setdefault(v, []).append((u, w))
+    return lambda u: rev.get(u, ())
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_banned_equals_filtered_graph(seed, directed):
+    g = random_connected_graph(40, seed=seed, directed=directed, extra_edge_frac=0.9)
+    banned = frozenset(random.Random(seed).sample(range(2, 40), 8)) - {30}
+    got = yen_ksp(g.neighbors, 1, 30, 8, directed=directed, banned=banned)
+    exp = yen_ksp(_without(g.neighbors, banned), 1, 30, 8, directed=directed)
+    assert got == exp
+    assert all(banned.isdisjoint(p) for p, _ in got)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_distance_map_keeps_distances(seed, directed):
+    g = random_connected_graph(40, seed=seed, directed=directed, extra_edge_frac=0.9)
+    h = reverse_spt(_reversed(g) if directed else g.neighbors, 30)
+    plain = yen_ksp(g.neighbors, 1, 30, 8, directed=directed)
+    guided = yen_ksp(g.neighbors, 1, 30, 8, directed=directed, h=h)
+    assert round_dists(guided) == round_dists(plain)
+    assert guided[0] == plain[0]  # the first path is Dijkstra's either way
+
+
+def test_distance_map_and_banned_together():
+    g = random_connected_graph(40, seed=7, extra_edge_frac=0.9)
+    banned = frozenset({3, 9, 17, 22})
+    h = reverse_spt(g.neighbors, 30)  # ignores the bans: an under-estimate
+    got = yen_ksp(g.neighbors, 1, 30, 6, h=h, banned=banned)
+    exp = yen_ksp(_without(g.neighbors, banned), 1, 30, 6)
+    assert round_dists(got) == round_dists(exp)
+    assert all(banned.isdisjoint(p) for p, _ in got)
+
+
+@pytest.mark.parametrize("end", [1, 30])
+def test_banned_endpoint_rejected(end):
+    g = random_connected_graph(40, seed=0)
+    with pytest.raises(ValueError):
+        next(yen_iter(g.neighbors, 1, 30, banned=frozenset({end, 5})))
+    with pytest.raises(ValueError):
+        yen_ksp(g.neighbors, 1, 30, 2, banned=frozenset({end}))
